@@ -208,7 +208,6 @@ int main(int argc, char** argv) {
   ResilienceOptions base;
   if (args.common.max_nodes) base.search.max_nodes = args.common.max_nodes;
   args.common.apply(base.search);
-  base.search.num_threads = 1;  // per-job threading set by the split below
 
   // Baseline: one job at a time, no cache, no canonicalization.
   const auto seq_start = Clock::now();

@@ -38,7 +38,9 @@ struct BenchArgs {
   /// registry disabled; N > 0 arms it and streams rmrls-metrics-v2
   /// heartbeats to stderr every N ms while the harness runs.
   long long heartbeat_ms = 0;
-  int threads = 1;  // search workers (docs/parallelism.md)
+  /// Concurrent jobs of the batch harnesses (batch_throughput); every
+  /// search runs on one thread (docs/parallelism.md).
+  int threads = 1;
   /// Dense-kernel width cap (docs/dense_pprm.md): -1 = keep the library
   /// default, 0 = force sparse, N > 0 = dense up to N variables.
   int dense_threshold = -1;
@@ -52,7 +54,6 @@ struct BenchArgs {
 
   /// Copies the flags that map one-to-one onto SynthesisOptions fields.
   void apply(SynthesisOptions& options) const {
-    options.num_threads = threads;
     if (dense_threshold >= 0) options.dense_threshold = dense_threshold;
     if (tt_mb > 0) options.tt_mb = tt_mb;
     options.tt_replacement = tt_replacement;
@@ -72,8 +73,9 @@ struct BenchArgs {
           "                  stream live telemetry heartbeats"
           " (rmrls-metrics-v2)\n"
           "                  to stderr every N ms\n"
-          "  --threads N     parallel search workers (1 = sequential,\n"
-          "                  0 = one per hardware thread)\n"
+          "  --threads N     concurrent jobs of the batch harnesses\n"
+          "                  (batch_throughput; 0 = one per hardware"
+          " thread)\n"
           "  --dense-threshold N\n"
           "                  widest system run on the dense spectrum kernel\n"
           "                  (-1 = library default, 0 = always sparse)\n"

@@ -259,7 +259,7 @@ Rung run_rung(const Args& args, const std::string& phase, int procs,
         "--cache-dir", cache_dir.string(),
         "--cache-mb", std::to_string(args.cache_mb),
         "--max-nodes", std::to_string(args.max_nodes),
-        "--batch-threads", "1",
+        "--threads", "1",
         "--metrics-out", shard.metrics,
     };
     if (args.cache_gc_mb > 0) {

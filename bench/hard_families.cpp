@@ -10,7 +10,6 @@
 /// expected, paper-matching outcome, so the binary exits 0 either way.
 
 #include <iostream>
-#include <thread>
 
 #include "bench/bench_common.hpp"
 #include "bench_suite/functions.hpp"
@@ -69,13 +68,12 @@ int main(int argc, char** argv) {
   // PR-7 search-core comparison on the 7-line family member RMRLS does
   // solve (ham7, Table IV): the pre-PR-7 driver (scout + tightening, no
   // deepening ladder, no history) against the chess-engine core (informed
-  // ID ladder + history-seeded reruns against one aging table), and the
-  // 8-thread lazy-SMP engine on top. All three run the full refinement
-  // driver under the same node budget; the comparison metrics are the
-  // final gate count, the effort the returned circuit actually required
-  // (nodes_at_best — nodes_expanded always equals the budget here because
-  // refinement spends whatever is left hunting for better), and wall
-  // clock. Records flow into --json (bench/BENCH_7.json is a committed
+  // ID ladder + history-seeded reruns against one aging table). Both run
+  // the full refinement driver under the same node budget; the comparison
+  // metrics are the final gate count, the effort the returned circuit
+  // actually required (nodes_at_best — nodes_expanded always equals the
+  // budget here because refinement spends whatever is left hunting for
+  // better), and wall clock. Records flow into --json (bench/BENCH_7.json is a committed
   // run of this section; see EXPERIMENTS.md).
   bench::BenchJson json(args);
   std::cout << "\n=== PR-7 core: ID + history vs PR-6 driver (ham7) ===\n";
@@ -85,12 +83,10 @@ int main(int argc, char** argv) {
     std::string name;
     bool id;
     bool history;
-    int threads;
   };
   const std::vector<Mode> modes = {
-      {"ham7_pr6_baseline", false, false, 1},
-      {"ham7_id_history", true, true, 1},
-      {"ham7_lazy_smp_8t", true, true, 8},
+      {"ham7_pr6_baseline", false, false},
+      {"ham7_id_history", true, true},
   };
   TextTable cmp({"Configuration", "Gates", "Nodes@best", "Nodes", "ms",
                  "Outcome"});
@@ -103,7 +99,6 @@ int main(int argc, char** argv) {
     o.max_nodes = args.max_nodes ? args.max_nodes : 2000000;
     o.iterative_deepening = m.id;
     o.use_history = m.history;
-    o.num_threads = m.threads;
     const SynthesisResult r = synthesize(ham_spec, o);
     const bool ok = r.success && implements(r.circuit, ham);
     effort_of[i] = static_cast<double>(r.stats.nodes_at_best);
@@ -117,22 +112,13 @@ int main(int argc, char** argv) {
     json.record(m.name, ham.num_vars(), r, ok ? &r.circuit : nullptr);
   }
   cmp.print(std::cout);
-  // Lazy SMP clamps its worker count to the core count (oversubscribed
-  // workers only time-slice and re-derive each other's states), so on
-  // small hosts the 8-thread row degenerates toward the sequential one.
-  std::cout << "\nhardware threads: "
-            << std::thread::hardware_concurrency()
-            << " (lazy-SMP workers are clamped to this)\n";
-  if (effort_of[0] > 0 && ms_of[2] > 0) {
+  if (effort_of[0] > 0) {
     const double reduction = 100.0 * (1.0 - effort_of[1] / effort_of[0]);
-    const double speedup = ms_of[1] / ms_of[2];
     std::cout << "\ngates: pr6 " << gates_of[0] << " vs id+history "
-              << gates_of[1] << " vs lazy-smp " << gates_of[2] << "\n"
+              << gates_of[1] << "\n"
               << "effort-to-result reduction (ID+history vs PR-6, valid"
                  " when gates <=): "
-              << fixed(reduction) << "%\n"
-              << "lazy-SMP 8-thread wall speedup vs sequential: "
-              << fixed(speedup) << "x\n";
+              << fixed(reduction) << "%\n";
   }
   return 0;
 }

@@ -334,21 +334,6 @@ void BM_Synthesize3VarTelemetryEnabled(benchmark::State& state) {
 }
 BENCHMARK(BM_Synthesize3VarTelemetryEnabled);
 
-// The parallel engine on the same spec as BM_SynthesizeFig1. On a single
-// hardware thread this measures coordination overhead, not speedup — the
-// speedup harness is bench/parallel_speedup.
-void BM_SynthesizeFig1Parallel(benchmark::State& state) {
-  const Pprm spec =
-      pprm_of_truth_table(TruthTable({1, 0, 7, 2, 3, 4, 5, 6}));
-  SynthesisOptions o;
-  o.max_nodes = 20000;
-  o.num_threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(synthesize(spec, o));
-  }
-}
-BENCHMARK(BM_SynthesizeFig1Parallel)->Arg(2)->Arg(4);
-
 void BM_TransformationBased(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::mt19937_64 rng(8);

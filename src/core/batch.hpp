@@ -2,11 +2,11 @@
 /// \brief Batch throughput driver: a thread pool *across* functions
 /// (docs/caching.md, docs/parallelism.md).
 ///
-/// PR 2's parallel engine splits one search across threads; this driver is
-/// the second level of that split — it runs many independent synthesis
-/// jobs concurrently, routing each through the canonical-orbit cache
-/// (core/synth_cache.hpp) so duplicate-heavy workloads synthesize each
-/// orbit once and relabel the rest. One CancelToken and one Watchdog span
+/// The one level of parallelism: each search runs on one thread, and this
+/// driver runs many independent synthesis jobs concurrently, routing each
+/// through the canonical-orbit cache (core/synth_cache.hpp) so
+/// duplicate-heavy workloads synthesize each orbit once and relabel the
+/// rest. One CancelToken and one Watchdog span
 /// the whole batch (docs/robustness.md): a batch deadline or a SIGINT
 /// stops every in-flight job and marks the unstarted ones cancelled.
 ///
@@ -93,15 +93,14 @@ struct BatchOptions {
   /// `resilience.use_watchdog` and `resilience.cancel_token` are
   /// overridden per job: the batch owns the watchdog and token, and each
   /// job's deadline is the batch time remaining at its start.
-  /// `resilience.search.num_threads` is overridden with the search-level
-  /// share of `total_threads` (see split_threads).
   ResilienceOptions resilience;
 
-  /// Total worker budget across both levels. 0 = one per hardware thread.
+  /// Concurrent jobs when `batch_threads` is 0. 0 = one per hardware
+  /// thread.
   int total_threads = 1;
 
-  /// Explicit job-level thread count; 0 derives it as
-  /// min(jobs, total_threads), giving leftover threads to each search.
+  /// Explicit concurrent-job count; 0 defers to `total_threads` (see
+  /// batch_job_threads).
   int batch_threads = 0;
 
   /// Wall-clock budget of the *whole batch*; zero means none.
@@ -167,19 +166,11 @@ struct CachedSynthesisOutcome {
     const TruthTable& spec, SynthCache* cache,
     const CanonicalOptions& canonical, const ResilienceOptions& resilience);
 
-/// How `total` threads are split between the two levels.
-struct ThreadSplit {
-  int batch_threads = 1;   ///< concurrent jobs
-  int search_threads = 1;  ///< SynthesisOptions::num_threads per job
-};
-
-/// Resolves the two-level split (docs/parallelism.md): an explicit
-/// `batch_threads` wins; otherwise jobs get priority
-/// (batch = min(jobs, total)) and each search keeps the integer share
-/// total / batch, never below 1. `total <= 0` means one per hardware
-/// thread.
-[[nodiscard]] ThreadSplit split_threads(int total, int batch_threads,
-                                        std::size_t jobs);
+/// Concurrent jobs of a batch (docs/parallelism.md): an explicit
+/// `batch_threads` wins, otherwise `total`; either way capped at the job
+/// count and never below 1. `total <= 0` means one per hardware thread.
+[[nodiscard]] int batch_job_threads(int total, int batch_threads,
+                                    std::size_t jobs);
 
 /// Fills every job's stable id (docs/fleet.md): 16 lowercase hex digits of
 /// stable_spec_key(spec), a dot, then the 0-based occurrence count of that

@@ -3,10 +3,10 @@
 
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "core/transposition.hpp"  // TTReplacement
 
@@ -109,8 +109,10 @@ struct SynthesisOptions {
   /// Externally owned transposition table shared across search passes
   /// (non-owning, like trace_sink). synthesize() installs one per call so
   /// the iterative-deepening ladder and the refinement reruns share it —
-  /// the driver bumps its generation between passes. Null (the default)
-  /// makes each engine pass build its own from tt_mb / tt_replacement.
+  /// the driver bumps its generation between passes. The table is not
+  /// thread-safe: only the thread running the search may touch it. Null
+  /// (the default) makes each engine pass build its own from tt_mb /
+  /// tt_replacement.
   TranspositionTable* tt = nullptr;
 
   /// History-guided ordering (core/history.hpp): blend each candidate's
@@ -125,8 +127,9 @@ struct SynthesisOptions {
   double history_weight = 0.10;
 
   /// Externally owned history table (non-owning); installed by
-  /// synthesize() per call so passes share learned preferences. Null with
-  /// use_history makes each pass learn only within itself.
+  /// synthesize() per call so passes share learned preferences. Like `tt`,
+  /// touched only by the thread running the search. Null with use_history
+  /// makes each pass learn only within itself.
   HistoryTable* history = nullptr;
 
   /// Iterative deepening on the max-gates bound (`--no-id` disables):
@@ -136,23 +139,6 @@ struct SynthesisOptions {
   /// next iteration's history ordering. Ignored in stop-at-first mode and
   /// when the caller fixed max_gates.
   bool iterative_deepening = true;
-
-  /// Deterministic priority-jitter seed for lazy-SMP order
-  /// diversification (docs/parallelism.md). 0 (the default, and always
-  /// for worker 0) adds no noise; the parallel engine gives every other
-  /// worker a distinct seed so the workers explore the shared tree in
-  /// different orders instead of racing down one line.
-  std::uint64_t order_jitter = 0;
-
-  /// Owner tag this engine writes into shared transposition-table entries;
-  /// with tt_own_only set, also the only tag whose entries prune it (a
-  /// foreign claim is taken over and re-expanded). The parallel engine
-  /// marks its canonical worker — and the root expansion that feeds every
-  /// worker — with a nonzero tag and tt_own_only, so helper claims divert
-  /// helpers but can never cut the sequential line short
-  /// (core/transposition.hpp).
-  std::uint8_t tt_owner = 0;
-  bool tt_own_only = false;
 
   /// Ablation variant of eq. (4): use cumulative terms eliminated since the
   /// root divided by depth, instead of the per-stage elimination the
@@ -195,31 +181,6 @@ struct SynthesisOptions {
   /// one kCancelled. Null (the default) disables the polls entirely.
   CancelToken* cancel_token = nullptr;
 
-  /// Worker threads of the parallel engine (docs/parallelism.md). 1 (the
-  /// default) runs the exact sequential search — bit-identical results.
-  /// N > 1 runs lazy-SMP: every worker searches the full root with its
-  /// own heap, node arena and Pprm pool but a diversified seed order and
-  /// priority jitter, sharing the best-depth bound, the node budget, the
-  /// bounded transposition table and the history table. 0 means "one
-  /// worker per hardware thread". Parallel results are valid circuits
-  /// but not bit-reproducible run to run (the bound race affects pruning).
-  int num_threads = 1;
-
-  /// Lazy-SMP duplicates exploration by design, so running more workers
-  /// than hardware threads is strictly harmful: the workers time-slice
-  /// the cores and re-derive each other's states instead of advancing.
-  /// By default the effective worker count is therefore clamped to
-  /// std::thread::hardware_concurrency(). Tests that exercise the
-  /// multi-worker code paths on small machines set this to true to get
-  /// exactly `num_threads` workers regardless of the host.
-  bool allow_oversubscription = false;
-
-  /// Shards (stripes) of the shared transposition table used when
-  /// `num_threads > 1`; each shard is an independently locked map, so
-  /// contention drops roughly linearly in the shard count. Per-shard hit
-  /// counts are reported in SynthesisStats::tt_shard_hits.
-  int tt_shards = 16;
-
   /// Widest system (in variables) the engine may run on the dense
   /// word-parallel PPRM kernel (rev/pprm_dense.hpp, docs/dense_pprm.md).
   /// At or below this width — and when the spectrum is dense enough for
@@ -228,8 +189,7 @@ struct SynthesisOptions {
   /// shift/mask/XOR passes instead of cube merges; circuits are
   /// bit-identical to the sparse engine's by construction (same candidate
   /// order, deltas, and state hashes). 0 forces the sparse representation
-  /// everywhere. Parallel workers inherit the pass's kernel choice
-  /// (docs/parallelism.md).
+  /// everywhere.
   int dense_threshold = 14;
 
   /// Our extension (ablated in bench/ablation): after a circuit of size D
@@ -293,14 +253,6 @@ struct SynthesisStats {
   std::uint64_t dropped_queue_full = 0;
   std::uint64_t restarts = 0;
   std::uint64_t solutions_found = 0;
-  /// Worker threads that executed search passes for this run: 1 for the
-  /// sequential engine, SynthesisOptions::num_threads (resolved) for the
-  /// parallel one. Driver passes take the maximum across their sub-runs.
-  std::uint64_t workers = 1;
-  /// Duplicate hits per shard of the shared transposition table (parallel
-  /// engine only; empty for sequential runs, where every duplicate is in
-  /// pruned_duplicate). Summed element-wise when runs accumulate.
-  std::vector<std::uint64_t> tt_shard_hits;
   /// Transposition-table traffic of this run (core/transposition.hpp):
   /// entries written (fresh slots + evicting replacements) and entries
   /// evicted by the replacement policy. Always evictions <= inserts, an
@@ -308,12 +260,13 @@ struct SynthesisStats {
   /// the table itself is shared across a driver's passes.
   std::uint64_t tt_inserts = 0;
   std::uint64_t tt_evictions = 0;
-  /// Table generation after this run — the number of search passes (mod
-  /// 256) the shared table has served. Merged by maximum.
+  /// Table generation after this run — the number of search passes the
+  /// call's pass-spanning table has served before this one (a 32-bit
+  /// counter, so it does not wrap in practice). Merged by maximum.
   std::uint64_t tt_generation = 0;
   /// Iterative-deepening ladder passes the driver executed (>= 1; plain
-  /// engine runs count as one). Merged by maximum: parallel workers and
-  /// cascade stages report their driver's ladder, not a sum of ladders.
+  /// engine runs count as one). Merged by maximum: cascade stages report
+  /// their driver's ladder, not a sum of ladders.
   std::uint64_t id_iterations = 1;
   /// Candidates whose eq.-4 priority received a non-zero history bonus
   /// (core/history.hpp). 0 when use_history is off or nothing has been
@@ -322,18 +275,20 @@ struct SynthesisStats {
   /// Total nodes expanded when the returned circuit was recorded — the
   /// search effort the result actually required, as opposed to
   /// nodes_expanded, which keeps counting while refinement hunts for
-  /// something better. 0 when no circuit was found. Maintained by the
-  /// drivers (accumulate_stats leaves it alone: only the layer that knows
-  /// which sub-run's circuit won can offset it); under lazy SMP it is the
-  /// winning worker's local count, a lower bound on the pass total.
+  /// something better. 0 when no circuit was found. accumulate_stats
+  /// keeps the first circuit's count (offset by the nodes expanded before
+  /// it); a driver whose later pass finds a better circuit overwrites it,
+  /// since only that layer knows which sub-run's circuit won.
   std::uint64_t nodes_at_best = 0;
   /// True if any search pass of this run used the dense word-parallel
   /// PPRM kernel (SynthesisOptions::dense_threshold).
   bool dense_kernel = false;
-  /// Times the representation changed between merged search passes (e.g.
-  /// forward/backward bidirectional specs landing on opposite sides of
-  /// the density rule). Normally 0: the kernel choice is a function of
-  /// the spec, and one spec keeps it across refinement reruns.
+  /// Times one synthesis changed representation between consecutive
+  /// search passes. The kernel choice is a function of the spec, and one
+  /// spec keeps it across every pass of synthesize(), so only
+  /// synthesize_bidirectional can count one: its forward and inverse
+  /// specs may land on opposite sides of the density rule. Merging
+  /// independent runs (cascade stages, batch jobs) adds their counts.
   std::uint64_t representation_switches = 0;
   /// True when the run was stopped by an explicit (user-reason) cooperative
   /// cancellation; deadline-reason cancellations report through
@@ -346,12 +301,17 @@ struct SynthesisStats {
   std::chrono::microseconds elapsed{0};
 };
 
-/// Accumulates `from` into `into`. Used by the multi-pass drivers
-/// (refinement, bidirectional) and the parallel engine when merging
-/// sub-run counters: counts and elapsed add; `workers` takes the maximum
-/// (sub-runs of one driver pass share the same pool); `tt_shard_hits`
-/// merges element-wise.
+/// Accumulates `from` into `into`, the merge of the multi-pass drivers
+/// (refinement, bidirectional, the resilient cascade, batch summaries).
+/// It is a monoid whose identity is a default-constructed SynthesisStats:
+/// counts and elapsed add, flags OR, tt_generation / id_iterations take
+/// the maximum, and nodes_at_best keeps the first circuit's offset count.
+/// No field compares the two sides, so merging into an empty accumulator
+/// changes nothing and the grouping of a chain of merges does not matter.
 inline void accumulate_stats(SynthesisStats& into, const SynthesisStats& from) {
+  if (into.nodes_at_best == 0 && from.nodes_at_best != 0) {
+    into.nodes_at_best = into.nodes_expanded + from.nodes_at_best;
+  }
   into.nodes_expanded += from.nodes_expanded;
   into.children_created += from.children_created;
   into.children_pushed += from.children_pushed;
@@ -366,29 +326,13 @@ inline void accumulate_stats(SynthesisStats& into, const SynthesisStats& from) {
   into.solutions_found += from.solutions_found;
   into.tt_inserts += from.tt_inserts;
   into.tt_evictions += from.tt_evictions;
-  if (from.tt_generation > into.tt_generation) {
-    into.tt_generation = from.tt_generation;
-  }
-  if (from.id_iterations > into.id_iterations) {
-    into.id_iterations = from.id_iterations;
-  }
+  into.tt_generation = std::max(into.tt_generation, from.tt_generation);
+  into.id_iterations = std::max(into.id_iterations, from.id_iterations);
   into.history_hits += from.history_hits;
-  if (from.workers > into.workers) into.workers = from.workers;
-  // A kernel disagreement between the merged runs is a representation
-  // switch; dense_kernel then means "any pass ran dense".
   into.representation_switches += from.representation_switches;
-  if (into.dense_kernel != from.dense_kernel) ++into.representation_switches;
   into.dense_kernel |= from.dense_kernel;
   into.cancelled |= from.cancelled;
   into.watchdog_fired |= from.watchdog_fired;
-  if (!from.tt_shard_hits.empty()) {
-    if (into.tt_shard_hits.size() < from.tt_shard_hits.size()) {
-      into.tt_shard_hits.resize(from.tt_shard_hits.size(), 0);
-    }
-    for (std::size_t i = 0; i < from.tt_shard_hits.size(); ++i) {
-      into.tt_shard_hits[i] += from.tt_shard_hits[i];
-    }
-  }
   into.elapsed += from.elapsed;
 }
 

@@ -6,7 +6,6 @@
 #include <random>
 
 #include "core/history.hpp"
-#include "core/parallel.hpp"
 #include "core/transposition.hpp"
 #include "obs/phase_profile.hpp"
 #include "obs/telemetry.hpp"
@@ -36,22 +35,17 @@ bool pick_dense(const Pprm& spec, const SynthesisOptions& options) {
          static_cast<int>(static_cast<std::uint64_t>(n) << (n - 6));
 }
 
-/// One search pass: the sequential engine for num_threads == 1 (exact
-/// pre-existing behavior), the parallel engine otherwise. Each pass
-/// independently picks the kernel for its representation of the spec —
-/// both engines expand the same tree and emit the same circuit, so the
-/// choice only affects throughput (and the dense_kernel stats flag).
+/// One search pass. Each pass picks the kernel for its representation of
+/// the spec — both instantiations expand the same tree and emit the same
+/// circuit, so the choice only affects throughput (and the dense_kernel
+/// stats flag).
 SynthesisResult run_search(const Pprm& spec, const SynthesisOptions& options) {
   if (pick_dense(spec, options)) {
-    const DensePprm dense(spec);
-    SynthesisResult r = options.num_threads == 1
-                            ? DenseSearch(dense, options).run()
-                            : run_parallel_search(dense, options);
+    SynthesisResult r = DenseSearch(DensePprm(spec), options).run();
     r.stats.dense_kernel = true;
     return r;
   }
-  if (options.num_threads == 1) return Search(spec, options).run();
-  return run_parallel_search(spec, options);
+  return Search(spec, options).run();
 }
 
 /// Tells the trace sink (if any) that the driver starts an
@@ -79,16 +73,17 @@ SynthesisResult synthesize(const Pprm& spec, const SynthesisOptions& options) {
   };
 
   // Pass-spanning search state (the chess-engine loop, docs/parallelism.md):
-  // one bounded transposition table and one history table serve every pass
-  // of this call — the iterative-deepening ladder, the broad-scope retry
-  // and the refinement reruns. next_pass() bumps the table generation (old
-  // entries stop pruning and become preferred eviction victims) and decays
-  // the history scores between passes.
+  // one bounded transposition table and one history table, owned by this
+  // call and touched only by its thread, serve every pass of this call —
+  // the iterative-deepening ladder, the broad-scope retry and the
+  // refinement reruns. next_pass() bumps the table generation (old entries
+  // stop pruning and become preferred eviction victims) and decays the
+  // history scores between passes.
   SynthesisOptions base = options;
   std::unique_ptr<TranspositionTable> owned_tt;
   if (base.use_transposition_table && base.tt == nullptr) {
-    owned_tt = std::make_unique<TranspositionTable>(
-        base.tt_mb, base.tt_shards, base.tt_replacement);
+    owned_tt =
+        std::make_unique<TranspositionTable>(base.tt_mb, base.tt_replacement);
     base.tt = owned_tt.get();
   }
   std::unique_ptr<HistoryTable> owned_history;
@@ -332,6 +327,11 @@ SynthesisResult synthesize_bidirectional(const TruthTable& spec,
   }
   SynthesisResult backward = synthesize(spec.inverse(), rest);
   const std::uint64_t forward_nodes = forward.stats.nodes_expanded;
+  // The inverse spec can land on the other side of the density rule: the
+  // one place a synthesis switches representation between passes.
+  if (forward.stats.dense_kernel != backward.stats.dense_kernel) {
+    ++forward.stats.representation_switches;
+  }
   accumulate_stats(forward.stats, backward.stats);
   forward.termination = backward.termination;  // the last pass executed
   if (!backward.success) return forward;

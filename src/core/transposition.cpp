@@ -1,5 +1,9 @@
 #include "core/transposition.hpp"
 
+#include <sys/mman.h>
+
+#include <new>
+
 #include "rev/pprm.hpp"  // splitmix64
 
 namespace rmrls {
@@ -20,43 +24,44 @@ std::size_t round_up_pow2(std::size_t n) {
 
 }  // namespace
 
-TranspositionTable::TranspositionTable(int mb, int stripes,
-                                       TTReplacement policy)
+TranspositionTable::TranspositionTable(int mb, TTReplacement policy)
     : policy_(policy) {
   const std::size_t budget = static_cast<std::size_t>(mb < 1 ? 1 : mb) << 20;
   buckets_ = round_down_pow2(budget / sizeof(Bucket));
   if (buckets_ == 0) buckets_ = 1;
   bucket_mask_ = buckets_ - 1;
-  table_.reset(
-      static_cast<Bucket*>(std::calloc(buckets_, sizeof(Bucket))));
-  num_stripes_ = static_cast<std::size_t>(stripes < 1 ? 1 : stripes);
-  stripes_ = std::make_unique<Stripe[]>(num_stripes_);
+  map_table();
 }
 
 TranspositionTable::TranspositionTable(const Config& config)
     : policy_(config.policy) {
   buckets_ = round_up_pow2(config.buckets == 0 ? 1 : config.buckets);
   bucket_mask_ = buckets_ - 1;
-  table_.reset(
-      static_cast<Bucket*>(std::calloc(buckets_, sizeof(Bucket))));
-  num_stripes_ =
-      static_cast<std::size_t>(config.stripes < 1 ? 1 : config.stripes);
-  stripes_ = std::make_unique<Stripe[]>(num_stripes_);
+  map_table();
+}
+
+void TranspositionTable::Unmapper::operator()(Bucket* p) const {
+  munmap(p, bytes);
+}
+
+void TranspositionTable::map_table() {
+  const std::size_t bytes = buckets_ * sizeof(Bucket);
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  table_ = std::unique_ptr<Bucket[], Unmapper>(static_cast<Bucket*>(p),
+                                               Unmapper{bytes});
 }
 
 bool TranspositionTable::check_and_insert(std::uint64_t hash,
-                                          std::int32_t depth,
-                                          std::uint8_t owner,
-                                          bool own_only) {
+                                          std::int32_t depth) {
   // Remix before reducing: Pprm::hash()'s low bits also drive other
   // consumers' bucketing. The top two remix bits pick the kAlways victim
   // slot so that policy does not always clobber slot 0.
   const std::uint64_t mix = splitmix64(hash);
   const std::size_t bucket = static_cast<std::size_t>(mix) & bucket_mask_;
-  const std::uint8_t gen = generation_.load(std::memory_order_relaxed);
-  Stripe& stripe = stripes_[stripe_of(bucket)];
+  const std::uint32_t gen = generation_;
   Entry* entries = table_[bucket].entries;
-  const std::lock_guard<std::mutex> lock(stripe.m);
 
   Entry* empty = nullptr;
   for (int i = 0; i < kBucketEntries; ++i) {
@@ -67,27 +72,15 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
     }
     if (e.hash != hash) continue;
     if (e.gen == gen) {
-      if (own_only && e.owner != owner) {
-        // A peer's claim. An own_only searcher (lazy SMP's canonical
-        // worker) must keep exactly the sequential engine's coverage, so
-        // a foreign claim never prunes it — it takes the claim over and
-        // re-expands. The peer revisiting afterwards prunes on this
-        // entry like any other, so the subtree is still expanded at most
-        // once per searcher that reached it first.
-        e.owner = owner;
-        e.depth = depth;
-        return false;
-      }
       if (e.depth <= depth) {
         // Re-visit at the same or a deeper depth: redundant, prune. A
         // *shallower* rediscovery falls through to the overwrite below —
         // the fix tests/test_tt_replacement pins (the pruned path could
         // be the better one).
-        ++stripe.hits;
+        ++hits_;
         return true;
       }
       e.depth = depth;
-      e.owner = owner;
       return false;
     }
     // A previous pass's entry: refresh instead of pruning, so a table
@@ -95,7 +88,6 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
     // the new pass's exploration.
     e.gen = gen;
     e.depth = depth;
-    e.owner = owner;
     return false;
   }
 
@@ -103,9 +95,8 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
     empty->hash = hash;
     empty->depth = depth;
     empty->gen = gen;
-    empty->owner = owner;
-    ++stripe.inserts;
-    ++stripe.occupied;
+    ++inserts_;
+    ++occupied_;
     return false;
   }
 
@@ -124,9 +115,8 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
       for (int i = 1; i < kBucketEntries; ++i) {
         // Wraparound-safe age: how many generations ago the entry was
         // written. Oldest first, deepest among equals.
-        const std::uint8_t age_v = static_cast<std::uint8_t>(gen - victim->gen);
-        const std::uint8_t age_i =
-            static_cast<std::uint8_t>(gen - entries[i].gen);
+        const std::uint32_t age_v = gen - victim->gen;
+        const std::uint32_t age_i = gen - entries[i].gen;
         if (age_i > age_v ||
             (age_i == age_v && entries[i].depth > victim->depth)) {
           victim = &entries[i];
@@ -137,83 +127,9 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
   victim->hash = hash;
   victim->depth = depth;
   victim->gen = gen;
-  victim->owner = owner;
-  ++stripe.inserts;
-  ++stripe.evictions;
+  ++inserts_;
+  ++evictions_;
   return false;
-}
-
-void TranspositionTable::new_generation() {
-  generation_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint8_t TranspositionTable::generation() const {
-  return generation_.load(std::memory_order_relaxed);
-}
-
-TranspositionTable::Snapshot TranspositionTable::snapshot() const {
-  Snapshot s;
-  s.stripe_hits.reserve(num_stripes_);
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    const Stripe& stripe = stripes_[i];
-    const std::lock_guard<std::mutex> lock(stripe.m);
-    s.hits += stripe.hits;
-    s.inserts += stripe.inserts;
-    s.evictions += stripe.evictions;
-    s.stripe_hits.push_back(stripe.hits);
-  }
-  return s;
-}
-
-std::vector<std::uint64_t> TranspositionTable::hit_counts() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(num_stripes_);
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    const Stripe& stripe = stripes_[i];
-    const std::lock_guard<std::mutex> lock(stripe.m);
-    out.push_back(stripe.hits);
-  }
-  return out;
-}
-
-std::uint64_t TranspositionTable::total_hits() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    const Stripe& stripe = stripes_[i];
-    const std::lock_guard<std::mutex> lock(stripe.m);
-    total += stripe.hits;
-  }
-  return total;
-}
-
-std::uint64_t TranspositionTable::inserts() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    const Stripe& stripe = stripes_[i];
-    const std::lock_guard<std::mutex> lock(stripe.m);
-    total += stripe.inserts;
-  }
-  return total;
-}
-
-std::uint64_t TranspositionTable::evictions() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    const Stripe& stripe = stripes_[i];
-    const std::lock_guard<std::mutex> lock(stripe.m);
-    total += stripe.evictions;
-  }
-  return total;
-}
-
-std::uint64_t TranspositionTable::entry_count() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    const Stripe& stripe = stripes_[i];
-    const std::lock_guard<std::mutex> lock(stripe.m);
-    total += stripe.occupied;
-  }
-  return total;
 }
 
 }  // namespace rmrls

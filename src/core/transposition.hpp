@@ -2,12 +2,10 @@
 /// \brief Bounded-memory transposition table with depth-preferred + aging
 ///        replacement (docs/parallelism.md).
 ///
-/// Replaces the grow-only seen-tables (the sequential unordered_map and the
-/// parallel ShardedSeenTable) with the fixed-size bucketized layout mature
-/// game-tree searchers use: the table is a power-of-two array of 64-byte
-/// buckets, four 16-byte entries `{hash, depth, generation}` each, sized
-/// once from a megabyte budget (`SynthesisOptions::tt_mb`, CLI `--tt-mb`)
-/// and never growing. A full bucket evicts by policy instead of
+/// The fixed-size bucketized layout mature game-tree searchers use: the
+/// table is a power-of-two array of 64-byte buckets, four 16-byte entries
+/// `{hash, depth, generation}` each, sized once from a megabyte budget
+/// (`SynthesisOptions::tt_mb`, CLI `--tt-mb`) and never growing. A full bucket evicts by policy instead of
 /// allocating:
 ///
 ///   * kAlways          — replace a fixed slot unconditionally (baseline).
@@ -26,35 +24,23 @@
 /// reruns + the broad-scope retry): the driver bumps `new_generation()`
 /// per pass, and an entry from a previous generation never prunes — it is
 /// refreshed to the current generation on first touch. Within a
-/// generation the depth rule is the sequential table's, with the
-/// shallower-revisit fix pinned by tests/test_tt_replacement: a state
+/// generation the depth rule holds, with the shallower-revisit fix pinned
+/// by tests/test_tt_replacement: a state
 /// re-reached at the same or a deeper depth prunes, a shallower
 /// rediscovery overwrites the stored depth and must be re-expanded.
 ///
-/// Thread safety: striped mutexes (stripe = bucket index mod stripe
-/// count, one stripe per SynthesisOptions::tt_shards). Per-stripe hit
-/// counters keep the SynthesisStats::tt_shard_hits contract of the table
-/// this one replaces; inserts/evictions/occupancy feed the new
-/// `tt_inserts` / `tt_evictions` metrics and telemetry gauges.
-///
-/// Owner tags: every entry carries the byte its writer passed as `owner`.
-/// A caller passing `own_only = true` prunes only on entries bearing its
-/// own tag — a foreign claim is taken over (owner and depth overwritten)
-/// and reported as a miss. Lazy SMP uses this to keep its canonical
-/// worker exactly the sequential engine: helpers prune on any entry
-/// (first to a state claims it, peers diverge), but none of their claims
-/// can cut the canonical worker off a line the sequential search would
-/// have explored (docs/parallelism.md).
+/// Single owner: a table is created inside one synthesize() call (or one
+/// engine run) and touched only by that call's thread, so it holds no
+/// locks and no atomics. Concurrency lives one level up — batch, serve and
+/// fleet jobs each own their tables (docs/parallelism.md). Hits, inserts,
+/// evictions and occupancy feed the `tt_inserts` / `tt_evictions` metrics
+/// and the telemetry gauges.
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 namespace rmrls {
 
@@ -77,59 +63,41 @@ class TranspositionTable {
   /// two, each bucket holds kBucketEntries entries.
   struct Config {
     std::size_t buckets = 1;
-    int stripes = 1;
     TTReplacement policy = TTReplacement::kAging;
   };
 
   static constexpr int kBucketEntries = 4;
 
   /// Budget-based sizing: the largest power-of-two bucket count whose
-  /// footprint fits in `mb` megabytes (minimum one bucket). `stripes`
-  /// mutexes guard the array; per-stripe hit counts are reported in the
-  /// same order.
-  TranspositionTable(int mb, int stripes, TTReplacement policy);
+  /// footprint fits in `mb` megabytes (minimum one bucket).
+  TranspositionTable(int mb, TTReplacement policy);
   explicit TranspositionTable(const Config& config);
 
   TranspositionTable(const TranspositionTable&) = delete;
   TranspositionTable& operator=(const TranspositionTable&) = delete;
 
   /// Returns true when the state should be pruned: already recorded *in
-  /// the current generation* at the same or a shallower depth — and, when
-  /// `own_only` is set, only if the recording entry bears this caller's
-  /// `owner` tag (a foreign entry is claimed over and reported as a
-  /// miss). Otherwise records `depth` and `owner` (insert, depth
-  /// overwrite, claim takeover, or stale-generation refresh) and returns
-  /// false. `depth` must be >= 1 — depth 0 is the root, which is never
-  /// tabled, and doubles as the empty-slot marker.
-  bool check_and_insert(std::uint64_t hash, std::int32_t depth,
-                        std::uint8_t owner = 0, bool own_only = false);
+  /// the current generation* at the same or a shallower depth. Otherwise
+  /// records `depth` (insert, depth overwrite, or stale-generation
+  /// refresh) and returns false. `depth` must be >= 1 — depth 0 is the
+  /// root, which is never tabled, and doubles as the empty-slot marker.
+  bool check_and_insert(std::uint64_t hash, std::int32_t depth);
 
   /// Starts a new search pass: entries of older generations stop pruning
   /// (they refresh on first touch) and become preferred eviction victims
-  /// under kAging. The 8-bit counter wraps; after exactly 256 bumps a
-  /// surviving entry aliases the current generation again, which costs at
-  /// most one wrongly-pruned revisit per entry — bounded staleness, the
-  /// standard aging trade.
-  void new_generation();
-  [[nodiscard]] std::uint8_t generation() const;
+  /// under kAging. The counter is 32 bits wide, so an entry can alias the
+  /// current generation again only after 2^32 passes — far beyond any
+  /// driver's pass count.
+  void new_generation() { ++generation_; }
+  [[nodiscard]] std::uint32_t generation() const { return generation_; }
 
-  /// Cumulative counters (monotone since construction). Pass-scoped stats
-  /// are deltas of two snapshot() calls.
-  struct Snapshot {
-    std::uint64_t hits = 0;
-    std::uint64_t inserts = 0;
-    std::uint64_t evictions = 0;
-    std::vector<std::uint64_t> stripe_hits;
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-
-  /// Duplicate hits per stripe (SynthesisStats::tt_shard_hits order).
-  [[nodiscard]] std::vector<std::uint64_t> hit_counts() const;
-  [[nodiscard]] std::uint64_t total_hits() const;
-  [[nodiscard]] std::uint64_t inserts() const;
-  [[nodiscard]] std::uint64_t evictions() const;
+  /// Cumulative counters (monotone since construction); pass-scoped stats
+  /// are deltas of two reads.
+  [[nodiscard]] std::uint64_t total_hits() const { return hits_; }
+  [[nodiscard]] std::uint64_t inserts() const { return inserts_; }
+  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
   /// Occupied entries (monotone until full; evictions replace in place).
-  [[nodiscard]] std::uint64_t entry_count() const;
+  [[nodiscard]] std::uint64_t entry_count() const { return occupied_; }
 
   /// Hard capacity in entries; entry_count() can never exceed it.
   [[nodiscard]] std::uint64_t capacity() const {
@@ -145,43 +113,35 @@ class TranspositionTable {
   struct Entry {
     std::uint64_t hash = 0;
     std::int32_t depth = 0;  ///< 0 = empty slot (tabled depths are >= 1)
-    std::uint8_t gen = 0;
-    std::uint8_t owner = 0;  ///< writer's tag; see check_and_insert
+    std::uint32_t gen = 0;
   };
-  /// Naturally 64 bytes (4 x 16-byte entries) — exactly one cache line —
-  /// without an alignas that calloc could not honour.
+  /// Naturally 64 bytes (4 x 16-byte entries) — exactly one cache line;
+  /// the page-aligned mapping below keeps every bucket on its own line.
   struct Bucket {
     Entry entries[kBucketEntries];
   };
   static_assert(sizeof(Bucket) == 64, "one cache line per bucket");
 
-  struct alignas(64) Stripe {
-    mutable std::mutex m;
-    std::uint64_t hits = 0;
-    std::uint64_t inserts = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t occupied = 0;
-  };
-
-  [[nodiscard]] std::size_t stripe_of(std::size_t bucket) const {
-    return bucket % num_stripes_;
-  }
-
   std::size_t buckets_ = 0;    // power of two
   std::size_t bucket_mask_ = 0;
   TTReplacement policy_ = TTReplacement::kAging;
-  struct FreeDeleter {
-    void operator()(Bucket* p) const { std::free(p); }
+  struct Unmapper {
+    std::size_t bytes;  // no initializer: keeps it default-constructible here
+    void operator()(Bucket* p) const;
   };
-  /// calloc-backed so untouched pages stay unmapped: a 64 MB default
-  /// budget costs nothing for the small runs that never fill it.
-  std::unique_ptr<Bucket[], FreeDeleter> table_;
-  /// Plain array, not a vector: Stripe holds a mutex and is immovable.
-  std::size_t num_stripes_ = 1;
-  std::unique_ptr<Stripe[]> stripes_;
-  /// Bumped between passes only (never concurrently with lookups from the
-  /// bumping thread's own pass); relaxed everywhere.
-  std::atomic<std::uint8_t> generation_{0};
+  /// Maps `buckets_` zeroed buckets into table_.
+  void map_table();
+  /// An anonymous mapping, so untouched pages stay unmapped and nothing is
+  /// zeroed up front: a 64 MB default budget costs nothing for the small
+  /// runs that never fill it. calloc gives that only when the allocator
+  /// maps the block fresh; below glibc's mmap threshold, and under the
+  /// sanitizer allocators, it zeroes the whole budget eagerly.
+  std::unique_ptr<Bucket[], Unmapper> table_;
+  std::uint32_t generation_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t inserts_ = 0;
+  std::uint64_t evictions_ = 0;
+  std::uint64_t occupied_ = 0;
 };
 
 }  // namespace rmrls

@@ -88,10 +88,6 @@ bool MetricsValidator::check_v1(const JsonValue& v, const std::string& where) {
   if (!nodes->is_number() || nodes->number < 0) {
     return fail(where, "nodes_expanded is not a non-negative number");
   }
-  const JsonValue* workers = v.find("workers");
-  if (!workers->is_number() || workers->number < 1) {
-    return fail(where, "workers is not a number >= 1");
-  }
   const JsonValue* dense = v.find("dense_kernel");
   if (dense->type != JsonValue::Type::kBool) {
     return fail(where, "dense_kernel is not a bool");
@@ -238,28 +234,6 @@ bool MetricsValidator::check_v1(const JsonValue& v, const std::string& where) {
         nodes == nullptr || !nodes->is_number() ||
         nodes_at_best->number > nodes->number) {
       return fail(where, "nodes_at_best is not in [0, nodes_expanded]");
-    }
-  }
-  // Optional per-shard transposition hit counts (parallel engine only):
-  // an array of non-negative numbers whose sum cannot exceed the total
-  // duplicate prunes (sequential passes of the same run may add more).
-  const JsonValue* shard_hits = v.find("tt_shard_hits");
-  if (shard_hits != nullptr) {
-    if (shard_hits->type != JsonValue::Type::kArray) {
-      return fail(where, "tt_shard_hits is not an array");
-    }
-    double sum = 0.0;
-    for (const JsonValue& e : shard_hits->array) {
-      if (!e.is_number() || e.number < 0) {
-        return fail(where,
-                    "tt_shard_hits element is not a non-negative number");
-      }
-      sum += e.number;
-    }
-    const JsonValue* duplicates = v.find("pruned_duplicate");
-    if (duplicates == nullptr || !duplicates->is_number() ||
-        sum > duplicates->number) {
-      return fail(where, "tt_shard_hits sum exceeds pruned_duplicate");
     }
   }
   return true;

@@ -516,7 +516,7 @@ TEST(FleetCli, SigkillThenResumeCoversCorpusExactlyOnce) {
       "--batch",         specs.string(),
       "--checkpoint",    ck.string(),
       "--cache-dir",     (dir / "cache").string(),
-      "--batch-threads", "1",
+      "--threads",       "1",
       "--max-nodes",     "800000",
   };
 
@@ -572,7 +572,7 @@ TEST(FleetCli, SigkillThenResumeCoversCorpusExactlyOnce) {
   std::vector<std::string> ref = {
       "--batch",         specs.string(),
       "--cache-dir",     (dir / "cache_ref").string(),
-      "--batch-threads", "1",
+      "--threads",       "1",
       "--max-nodes",     "800000",
   };
   const pid_t pid3 = spawn_cli(ref, (dir / "out_ref.txt").string());

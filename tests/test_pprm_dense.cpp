@@ -257,21 +257,5 @@ TEST(DensePprm, StatsReportKernelChoice) {
   EXPECT_FALSE(sparse_run.stats.dense_kernel);
 }
 
-TEST(DensePprm, ParallelDenseEngineMatchesSequential) {
-  const TruthTable spec({1, 0, 7, 2, 3, 4, 5, 6});
-  SynthesisOptions seq;
-  seq.max_nodes = 20000;
-  SynthesisOptions par = seq;
-  par.num_threads = 2;
-  const SynthesisResult rs = synthesize(spec, seq);
-  const SynthesisResult rp = synthesize(spec, par);
-  ASSERT_TRUE(rs.success);
-  ASSERT_TRUE(rp.success);
-  EXPECT_TRUE(rp.stats.dense_kernel);
-  // The parallel engine guarantees equal optimality, not equal gate order.
-  EXPECT_EQ(rp.circuit.gate_count(), rs.circuit.gate_count());
-  EXPECT_TRUE(implements(rp.circuit, spec));
-}
-
 }  // namespace
 }  // namespace rmrls

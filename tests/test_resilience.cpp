@@ -97,12 +97,11 @@ TEST(Cancellation, DeadlineReasonReportsTimeLimit) {
   EXPECT_FALSE(r.stats.cancelled);
 }
 
-TEST(Cancellation, PreCancelledParallelReturnsImmediately) {
+TEST(Cancellation, PreCancelledWideSearchReturnsImmediately) {
   CancelToken token;
   token.cancel(CancelReason::kUser);
   SynthesisOptions options;
   options.cancel_token = &token;
-  options.num_threads = 2;
   const auto t0 = Clock::now();
   const SynthesisResult r = synthesize(wide_spec(8, 12), options);
   EXPECT_FALSE(r.success);
@@ -153,6 +152,10 @@ TEST(Resilient, PrimaryWinsWhenItCan) {
   EXPECT_TRUE(rr.verified);
   EXPECT_TRUE(rr.result.success);
   EXPECT_TRUE(equivalent(rr.result.circuit, fig1_pprm()));
+  // One spec keeps one kernel across the cascade: merging the stage into
+  // the empty cascade accumulator is not a representation switch.
+  EXPECT_TRUE(rr.result.stats.dense_kernel);
+  EXPECT_EQ(rr.result.stats.representation_switches, 0u);
 }
 
 TEST(Resilient, CascadesToGreedy) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <random>
+
 #include "core/synthesizer.hpp"
 #include "rev/pprm_transform.hpp"
 
@@ -110,6 +113,136 @@ TEST(Search, DeterministicAcrossRuns) {
   ASSERT_TRUE(r2.success);
   EXPECT_EQ(r1.circuit, r2.circuit);
   EXPECT_EQ(r1.stats.nodes_expanded, r2.stats.nodes_expanded);
+}
+
+// Repeat runs on a 4-variable function give the same circuit and the
+// same effort counters: every synthesis runs on one thread.
+TEST(Search, RepeatRunsAreDeterministicOnFourVariables) {
+  const TruthTable spec({0, 7, 6, 9, 4, 11, 10, 13, 8, 15, 14, 1, 12, 3, 2, 5});
+  const SynthesisResult a = synthesize(spec, quick());
+  const SynthesisResult b = synthesize(spec, quick());
+  ASSERT_TRUE(a.success);
+  ASSERT_TRUE(b.success);
+  EXPECT_EQ(a.circuit, b.circuit);
+  EXPECT_EQ(a.stats.nodes_expanded, b.stats.nodes_expanded);
+  EXPECT_EQ(a.stats.children_created, b.stats.children_created);
+  EXPECT_EQ(a.stats.pruned_duplicate, b.stats.pruned_duplicate);
+  EXPECT_EQ(a.stats.nodes_at_best, b.stats.nodes_at_best);
+}
+
+// The early outs: an identity spec is solved before any expansion, and a
+// one-gate spec by the root's own expansion.
+TEST(Search, IdentityAndSingleGateEarlyOuts) {
+  const SynthesisResult id = synthesize(TruthTable::identity(3), quick());
+  ASSERT_TRUE(id.success);
+  EXPECT_EQ(id.circuit.gate_count(), 0);
+  EXPECT_EQ(id.termination, TerminationReason::kSolved);
+  EXPECT_EQ(id.stats.nodes_expanded, 0u);
+
+  const TruthTable not_gate({1, 0});
+  const SynthesisResult r = synthesize(not_gate, quick());
+  ASSERT_TRUE(r.success);
+  EXPECT_EQ(r.circuit.gate_count(), 1);
+  EXPECT_TRUE(implements(r.circuit, not_gate));
+}
+
+// accumulate_stats is a monoid whose identity is a default-constructed
+// SynthesisStats. Every field of the merge is compared, so a merge that
+// miscounts against an empty accumulator fails here.
+void expect_same_stats(const SynthesisStats& a, const SynthesisStats& b) {
+  EXPECT_EQ(a.nodes_expanded, b.nodes_expanded);
+  EXPECT_EQ(a.children_created, b.children_created);
+  EXPECT_EQ(a.children_pushed, b.children_pushed);
+  EXPECT_EQ(a.pruned_elim, b.pruned_elim);
+  EXPECT_EQ(a.pruned_depth, b.pruned_depth);
+  EXPECT_EQ(a.pruned_max_gates, b.pruned_max_gates);
+  EXPECT_EQ(a.pruned_duplicate, b.pruned_duplicate);
+  EXPECT_EQ(a.pruned_greedy, b.pruned_greedy);
+  EXPECT_EQ(a.pruned_stale, b.pruned_stale);
+  EXPECT_EQ(a.dropped_queue_full, b.dropped_queue_full);
+  EXPECT_EQ(a.restarts, b.restarts);
+  EXPECT_EQ(a.solutions_found, b.solutions_found);
+  EXPECT_EQ(a.tt_inserts, b.tt_inserts);
+  EXPECT_EQ(a.tt_evictions, b.tt_evictions);
+  EXPECT_EQ(a.tt_generation, b.tt_generation);
+  EXPECT_EQ(a.id_iterations, b.id_iterations);
+  EXPECT_EQ(a.history_hits, b.history_hits);
+  EXPECT_EQ(a.nodes_at_best, b.nodes_at_best);
+  EXPECT_EQ(a.dense_kernel, b.dense_kernel);
+  EXPECT_EQ(a.representation_switches, b.representation_switches);
+  EXPECT_EQ(a.cancelled, b.cancelled);
+  EXPECT_EQ(a.watchdog_fired, b.watchdog_fired);
+  EXPECT_EQ(a.elapsed, b.elapsed);
+}
+
+/// A pass's stats with every field drawn from `rng`; kernels and flags
+/// are arbitrary, id_iterations keeps its documented floor of 1.
+SynthesisStats random_stats(std::mt19937_64& rng) {
+  const auto small = [&rng] { return rng() % 1000; };
+  SynthesisStats s;
+  s.nodes_expanded = small();
+  s.children_created = small();
+  s.children_pushed = small();
+  s.pruned_elim = small();
+  s.pruned_depth = small();
+  s.pruned_max_gates = small();
+  s.pruned_duplicate = small();
+  s.pruned_greedy = small();
+  s.pruned_stale = small();
+  s.dropped_queue_full = small();
+  s.restarts = small();
+  s.solutions_found = small();
+  s.tt_inserts = small();
+  s.tt_evictions = small();
+  s.tt_generation = small();
+  s.id_iterations = 1 + rng() % 5;
+  s.history_hits = small();
+  s.nodes_at_best = rng() % 2 == 0 ? 0 : 1 + rng() % (s.nodes_expanded + 1);
+  s.dense_kernel = rng() % 2 == 0;
+  s.representation_switches = rng() % 3;
+  s.cancelled = rng() % 4 == 0;
+  s.watchdog_fired = rng() % 4 == 0;
+  s.elapsed = std::chrono::microseconds(small());
+  return s;
+}
+
+SynthesisStats merged(SynthesisStats into, const SynthesisStats& from) {
+  accumulate_stats(into, from);
+  return into;
+}
+
+TEST(StatsMerge, EmptyAccumulatorIsTheIdentity) {
+  std::mt19937_64 rng(21);
+  for (int i = 0; i < 200; ++i) {
+    const SynthesisStats x = random_stats(rng);
+    expect_same_stats(merged(SynthesisStats{}, x), x);
+    expect_same_stats(merged(x, SynthesisStats{}), x);
+  }
+}
+
+TEST(StatsMerge, IsAssociative) {
+  std::mt19937_64 rng(22);
+  for (int i = 0; i < 200; ++i) {
+    const SynthesisStats a = random_stats(rng);
+    const SynthesisStats b = random_stats(rng);
+    const SynthesisStats c = random_stats(rng);
+    expect_same_stats(merged(merged(a, b), c), merged(a, merged(b, c)));
+  }
+}
+
+TEST(StatsMerge, SameKernelPassesNeverCountASwitch) {
+  for (const bool dense : {false, true}) {
+    SynthesisStats total;
+    for (int i = 0; i < 8; ++i) {
+      SynthesisStats pass;
+      pass.nodes_expanded = 10;
+      pass.dense_kernel = dense;
+      accumulate_stats(total, pass);
+    }
+    EXPECT_EQ(total.representation_switches, 0u);
+    EXPECT_EQ(total.dense_kernel, dense);
+    EXPECT_EQ(total.nodes_expanded, 80u);
+  }
 }
 
 TEST(Search, GreedyKeepsKPerVariable) {

@@ -265,20 +265,20 @@ TEST(SynthCache, FailedLeaderReleasesFollowersEmptyHanded) {
   cache.publish(7, nullptr);
 }
 
-TEST(ThreadSplit, JobsGetPriorityAndSearchKeepsTheRemainder) {
-  // 8 threads over 4 jobs: 4 concurrent jobs, 2 search workers each.
-  EXPECT_EQ(split_threads(8, 0, 4).batch_threads, 4);
-  EXPECT_EQ(split_threads(8, 0, 4).search_threads, 2);
-  // More jobs than threads: every thread runs jobs, searches stay
-  // sequential.
-  EXPECT_EQ(split_threads(4, 0, 100).batch_threads, 4);
-  EXPECT_EQ(split_threads(4, 0, 100).search_threads, 1);
-  // An explicit batch level wins, clamped to the job count.
-  EXPECT_EQ(split_threads(8, 2, 4).batch_threads, 2);
-  EXPECT_EQ(split_threads(8, 2, 4).search_threads, 4);
-  EXPECT_EQ(split_threads(8, 16, 4).batch_threads, 4);
-  EXPECT_EQ(split_threads(1, 0, 0).batch_threads, 1);
-  EXPECT_GE(split_threads(0, 0, 4).batch_threads, 1);  // 0 = hardware
+TEST(BatchJobThreads, OneLevelCappedAtTheJobCount) {
+  // Every thread runs whole jobs; the job count caps the pool.
+  EXPECT_EQ(batch_job_threads(8, 0, 4), 4);
+  EXPECT_EQ(batch_job_threads(4, 0, 100), 4);
+  // An explicit batch_threads wins over total, with the same cap.
+  EXPECT_EQ(batch_job_threads(8, 2, 4), 2);
+  EXPECT_EQ(batch_job_threads(1, 3, 100), 3);
+  EXPECT_EQ(batch_job_threads(8, 16, 4), 4);
+  // Never below one thread, even for an empty batch.
+  EXPECT_EQ(batch_job_threads(1, 0, 0), 1);
+  EXPECT_EQ(batch_job_threads(8, 0, 0), 1);
+  // 0 = one per hardware thread.
+  EXPECT_GE(batch_job_threads(0, 0, 4), 1);
+  EXPECT_LE(batch_job_threads(0, 0, 4), 4);
 }
 
 std::vector<BatchJob> orbit_heavy_jobs(int n, int unique, int copies,

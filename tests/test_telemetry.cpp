@@ -298,7 +298,7 @@ std::string valid_v1_record() {
   return R"({"schema":"rmrls-metrics-v1","name":"t","success":true,)"
          R"("termination":"solved","elapsed_us":10,"nodes_expanded":5,)"
          R"("children_created":9,"children_pushed":8,"solutions_found":1,)"
-         R"("workers":1,"dense_kernel":false,"representation_switches":0,)"
+         R"("dense_kernel":false,"representation_switches":0,)"
          R"("cancelled":false,"watchdog_fired":false,"gates":3,)"
          R"("quantum_cost":7})";
 }
@@ -308,6 +308,15 @@ TEST(MetricsValidatorRules, AcceptsV1AndRejectsBrokenV1) {
     MetricsValidator v;
     EXPECT_TRUE(v.check_line(valid_v1_record(), "ok"));
     EXPECT_TRUE(v.errors().empty());
+  }
+  {
+    // Records written before the parallel search engine was removed carry
+    // a `workers` count; the key is no longer required or checked, so the
+    // old records still validate.
+    MetricsValidator v;
+    std::string old = valid_v1_record();
+    old.insert(old.size() - 1, R"(,"workers":4)");
+    EXPECT_TRUE(v.check_line(old, "pre-removal")) << v.errors().front();
   }
   {
     // trace_id must be 16 hex digits when present.

@@ -1,15 +1,14 @@
 // Tests for the bounded transposition table (core/transposition.hpp):
 // replacement-policy semantics on a single bucket, the depth rule the
 // table inherits from the seen-map it replaced (including the
-// shallower-revisit-overwrites regression), generation aging and
-// rollover, bounded memory under sustained insert pressure, and the
+// shallower-revisit-overwrites regression), generation aging past the
+// old 8-bit wrap point, bounded memory under sustained insert pressure, and the
 // determinism of the single-threaded iterative-deepening driver built on
 // top of it.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <numeric>
 
 #include "core/synthesizer.hpp"
 #include "core/transposition.hpp"
@@ -21,7 +20,6 @@ namespace {
 TranspositionTable::Config one_bucket(TTReplacement policy) {
   TranspositionTable::Config c;
   c.buckets = 1;
-  c.stripes = 1;
   c.policy = policy;
   return c;
 }
@@ -55,29 +53,6 @@ TEST(TranspositionTable, ShallowerRevisitOverwritesInsteadOfPruning) {
   EXPECT_TRUE(tt.check_and_insert(h(1), 4));   // now 4 >= stored 3: prune
   EXPECT_TRUE(tt.check_and_insert(h(1), 3));
   // The overwrite is not an insert: the slot was already occupied.
-  EXPECT_EQ(tt.inserts(), 1u);
-  EXPECT_EQ(tt.entry_count(), 1u);
-}
-
-// Owner-filtered pruning (lazy SMP's canonical-worker guarantee): an
-// own_only caller is never pruned by a foreign claim — it takes the claim
-// over and re-expands — while ordinary callers prune on any entry. This
-// is what keeps worker 0 exactly the sequential engine even when helpers
-// reach shared states first (core/parallel.cpp kCanonicalOwner).
-TEST(TranspositionTable, OwnOnlyCallerIgnoresForeignClaims) {
-  TranspositionTable tt(one_bucket(TTReplacement::kAging));
-  constexpr std::uint8_t kHelper = 0;
-  constexpr std::uint8_t kCanonical = 1;
-  // A helper claims the state first.
-  EXPECT_FALSE(tt.check_and_insert(h(1), 3, kHelper, false));
-  // The canonical worker reaches it later: not pruned, claim taken over.
-  EXPECT_FALSE(tt.check_and_insert(h(1), 3, kCanonical, true));
-  // The helper revisiting now prunes on the canonical entry as usual.
-  EXPECT_TRUE(tt.check_and_insert(h(1), 3, kHelper, false));
-  // The canonical worker's own revisit prunes — its own entries still
-  // dedup it exactly like the sequential table would.
-  EXPECT_TRUE(tt.check_and_insert(h(1), 4, kCanonical, true));
-  // A takeover reuses the slot: one insert, one entry.
   EXPECT_EQ(tt.inserts(), 1u);
   EXPECT_EQ(tt.entry_count(), 1u);
 }
@@ -144,29 +119,46 @@ TEST(TranspositionTable, StaleGenerationRefreshesInsteadOfPruning) {
   EXPECT_EQ(tt.evictions(), 0u);
 }
 
-// The generation counter is 8-bit by design (it lives in every 16-byte
-// entry). After exactly 256 bumps a surviving entry aliases the current
-// generation and may wrongly prune one revisit — the documented bounded
-// staleness trade. The counter itself must wrap cleanly.
-TEST(TranspositionTable, GenerationRollover) {
+// The generation counter is 32 bits wide. With the old 8-bit counter an
+// entry written exactly 256 passes earlier aliased the current generation
+// and wrongly pruned a live revisit; it must stay stale instead.
+TEST(TranspositionTable, GenerationDoesNotWrapAfter256Passes) {
   TranspositionTable tt(one_bucket(TTReplacement::kAging));
   ASSERT_FALSE(tt.check_and_insert(h(1), 4));
   for (int i = 0; i < 256; ++i) tt.new_generation();
-  EXPECT_EQ(tt.generation(), 0u);  // wrapped back
-  // The entry now aliases the current generation: it prunes (the accepted
-  // bounded-staleness behaviour), and a shallower revisit still overwrites.
+  EXPECT_EQ(tt.generation(), 256u);
+  // Stale entry: the revisit refreshes it instead of pruning ...
+  EXPECT_FALSE(tt.check_and_insert(h(1), 4));
+  // ... and only then dedups within the new generation.
   EXPECT_TRUE(tt.check_and_insert(h(1), 4));
-  EXPECT_FALSE(tt.check_and_insert(h(1), 3));
-  // One bump off the alias point behaves like any stale entry again.
-  tt.new_generation();
-  EXPECT_FALSE(tt.check_and_insert(h(1), 5));
+  EXPECT_EQ(tt.total_hits(), 1u);
+}
+
+// Aging ages are computed in 32 bits: an entry 256 generations old is
+// older than one written a generation ago (an 8-bit age read it as 0).
+TEST(TranspositionTable, AgingComparesAgesBeyond256Generations) {
+  TranspositionTable tt(one_bucket(TTReplacement::kAging));
+  ASSERT_FALSE(tt.check_and_insert(h(0), 2));  // generation 0
+  for (int i = 0; i < 255; ++i) tt.new_generation();
+  for (std::uint64_t i = 1; i < 4; ++i) {
+    ASSERT_FALSE(tt.check_and_insert(h(i), 9));  // generation 255, deeper
+  }
+  tt.new_generation();  // generation 256
+  ASSERT_FALSE(tt.check_and_insert(h(9), 5));  // full bucket: evicts h(0)
+  EXPECT_EQ(tt.evictions(), 1u);
+  // h(0) is gone, so a revisit is a fresh insert (evicting again).
+  EXPECT_FALSE(tt.check_and_insert(h(0), 2));
+  EXPECT_EQ(tt.evictions(), 2u);
+  // h(9) survived the second eviction: the victim was a generation-255
+  // entry, not the fresh one.
+  EXPECT_TRUE(tt.check_and_insert(h(9), 5));
 }
 
 // The bound that motivates the whole design: ten million inserts into a
 // 1 MiB table stay inside the fixed footprint. The grow-only seen-map
 // this table replaced would hold all 10^7 entries (~hundreds of MB).
 TEST(TranspositionTable, BoundedMemoryUnderSustainedInsertPressure) {
-  TranspositionTable tt(1, 4, TTReplacement::kAging);
+  TranspositionTable tt(1, TTReplacement::kAging);
   const std::uint64_t capacity = tt.capacity();
   ASSERT_GT(capacity, 0u);
   ASSERT_LE(tt.bytes(), std::size_t{1} << 20);
@@ -183,27 +175,23 @@ TEST(TranspositionTable, BoundedMemoryUnderSustainedInsertPressure) {
   EXPECT_EQ(tt.entry_count(), tt.inserts() - tt.evictions());
 }
 
-TEST(TranspositionTable, SnapshotDeltasArePerStripeAndMonotone) {
-  TranspositionTable tt(1, 4, TTReplacement::kAging);
-  const TranspositionTable::Snapshot before = tt.snapshot();
-  ASSERT_EQ(before.stripe_hits.size(), 4u);
+TEST(TranspositionTable, CountersAreMonotone) {
+  TranspositionTable tt(1, TTReplacement::kAging);
+  const std::uint64_t hits_before = tt.total_hits();
+  const std::uint64_t inserts_before = tt.inserts();
   for (std::uint64_t i = 0; i < 1000; ++i) {
     tt.check_and_insert(splitmix64(i), 3);
     tt.check_and_insert(splitmix64(i), 3);  // guaranteed revisit
   }
-  const TranspositionTable::Snapshot after = tt.snapshot();
-  EXPECT_GE(after.hits, before.hits + 1000);
-  EXPECT_GE(after.inserts, before.inserts);
-  const std::uint64_t stripe_sum = std::accumulate(
-      after.stripe_hits.begin(), after.stripe_hits.end(), std::uint64_t{0});
-  EXPECT_EQ(stripe_sum, after.hits);
+  EXPECT_GE(tt.total_hits(), hits_before + 1000);
+  EXPECT_GE(tt.inserts(), inserts_before);
 }
 
 // Budget sizing: the table must fit the requested megabytes and use a
 // power-of-two bucket count.
 TEST(TranspositionTable, BudgetSizingFitsAndIsPowerOfTwo) {
   for (const int mb : {1, 2, 8}) {
-    TranspositionTable tt(mb, 16, TTReplacement::kAging);
+    TranspositionTable tt(mb, TTReplacement::kAging);
     EXPECT_LE(tt.bytes(), static_cast<std::size_t>(mb) << 20);
     const std::uint64_t buckets =
         tt.capacity() / TranspositionTable::kBucketEntries;

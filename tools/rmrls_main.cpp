@@ -96,17 +96,6 @@ void help(const char* argv0, std::ostream& os) {
         "                     --tt-mb this bounds the search's resident\n"
         "                     memory on long runs (overflow counts\n"
         "                     dropped_queue_full)\n"
-        "  --threads N        parallel search workers (default 1 ="
-        " sequential\n"
-        "                     engine, bit-reproducible; 0 = one per"
-        " hardware\n"
-        "                     thread); see docs/parallelism.md\n"
-        "  --oversubscribe    allow more workers than hardware threads\n"
-        "                     (default: --threads is clamped to the core\n"
-        "                     count; oversubscribed lazy SMP only wastes\n"
-        "                     time re-deriving peers' states)\n"
-        "  --tt-shards N      lock stripes of the shared transposition\n"
-        "                     table (parallel engine only, default 16)\n"
         "  --tt-mb N          transposition-table memory budget in MiB\n"
         "                     (default 64); the table is bounded and"
         " evicts\n"
@@ -142,9 +131,11 @@ void help(const char* argv0, std::ostream& os) {
         "                     orbit representative (default 12); wider"
         " specs\n"
         "                     are cached by exact identity only\n"
-        "  --batch-threads N  concurrent jobs in --batch mode (0 = auto:\n"
-        "                     min(jobs, --threads), leftover threads go to\n"
-        "                     each search; docs/parallelism.md). --time-ms\n"
+        "  --threads N        concurrent jobs, --batch mode only (default"
+        " 1;\n"
+        "                     0 = one per hardware thread); each search"
+        " runs\n"
+        "                     on one thread (docs/parallelism.md). --time-ms\n"
         "                     bounds the *whole batch* under one watchdog.\n"
         "\n"
         "Fleet scale-out (docs/fleet.md, --batch mode only):\n"
@@ -260,7 +251,8 @@ int main(int argc, char** argv) {
   long long cache_mb = -1;  // sentinel: 64 in batch / with --cache-dir, else 0
   long long cache_gc_mb = 0;  // disk-store budget, 0 = unbounded
   int canonical_cap = -1;
-  int batch_threads = 0;
+  int concurrent_jobs = 1;
+  bool threads_given = false;
   int shard_index = 0;
   int shard_count = 1;
   std::string checkpoint_file;
@@ -302,9 +294,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--canonical-cap") {
       canonical_cap = static_cast<int>(num_ll(arg, next()));
       if (canonical_cap < 0) bad_number(arg, std::to_string(canonical_cap));
-    } else if (arg == "--batch-threads") {
-      batch_threads = static_cast<int>(num_ll(arg, next()));
-      if (batch_threads < 0) bad_number(arg, std::to_string(batch_threads));
     } else if (arg == "--shard") {
       const std::string v = next();
       const std::size_t slash = v.find('/');
@@ -360,17 +349,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--restart") {
       options.restart_interval = num_ull(arg, next());
     } else if (arg == "--threads") {
-      options.num_threads = static_cast<int>(num_ll(arg, next()));
-      if (options.num_threads < 0) bad_number(arg, std::to_string(options.num_threads));
+      concurrent_jobs = static_cast<int>(num_ll(arg, next()));
+      if (concurrent_jobs < 0) bad_number(arg, std::to_string(concurrent_jobs));
+      threads_given = true;
     } else if (arg == "--queue") {
       const long long v = num_ll(arg, next());
       if (v < 1) bad_number(arg, std::to_string(v));
       options.max_queue = static_cast<std::size_t>(v);
-    } else if (arg == "--oversubscribe") {
-      options.allow_oversubscription = true;
-    } else if (arg == "--tt-shards") {
-      options.tt_shards = static_cast<int>(num_ll(arg, next()));
-      if (options.tt_shards < 1) bad_number(arg, std::to_string(options.tt_shards));
     } else if (arg == "--tt-mb") {
       options.tt_mb = static_cast<int>(num_ll(arg, next()));
       if (options.tt_mb < 1) bad_number(arg, std::to_string(options.tt_mb));
@@ -433,6 +418,13 @@ int main(int argc, char** argv) {
       std::cerr << "unknown argument: " << arg << "\n";
       return usage(argv[0]);
     }
+  }
+  if (threads_given && batch_file.empty()) {
+    // Parallelism lives at the job level only: a single synthesis always
+    // runs on one thread (docs/parallelism.md).
+    std::cerr << "error: --threads sets concurrent --batch jobs and needs "
+                 "--batch\n";
+    return 2;
   }
 
   try {
@@ -533,8 +525,7 @@ int main(int argc, char** argv) {
       BatchOptions bopts;
       bopts.resilience.search = options;
       bopts.resilience.search.time_limit = std::chrono::milliseconds{0};
-      bopts.total_threads = options.num_threads;
-      bopts.batch_threads = batch_threads;
+      bopts.total_threads = concurrent_jobs;
       bopts.deadline = options.time_limit;  // bounds the whole batch
       bopts.use_watchdog = use_watchdog;
       bopts.cancel_token = &g_cancel;

@@ -29,8 +29,6 @@ void help(const char* argv0, std::ostream& os) {
         "\n"
         "Capacity:\n"
         "  --workers N        executor threads (default 2)\n"
-        "  --search-threads N SynthesisOptions::num_threads per job\n"
-        "                     (default 1)\n"
         "  --queue-cap N      admission queue bound (default 64); submits\n"
         "                     past it are shed with status \"unavailable\"\n"
         "                     (client exit code 7)\n"
@@ -106,9 +104,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--workers") {
       options.workers =
           static_cast<int>(arg_number(argc, argv, i, "--workers"));
-    } else if (arg == "--search-threads") {
-      options.search_threads =
-          static_cast<int>(arg_number(argc, argv, i, "--search-threads"));
     } else if (arg == "--queue-cap") {
       options.queue_cap =
           static_cast<std::size_t>(arg_number(argc, argv, i, "--queue-cap"));
