@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -100,18 +101,31 @@ struct BenchArgs {
       };
       // std::stoull throws on junk; turn that into a clean diagnostic
       // instead of an uncaught-exception abort.
-      const auto next_u64 = [&]() -> std::uint64_t {
-        const std::string value = next();
+      const auto bad_value = [&](const std::string& value) {
+        std::cerr << "invalid number for " << arg << ": '" << value << "'\n";
+        std::exit(2);
+      };
+      const auto parse_u64 = [&](const std::string& value) -> std::uint64_t {
         try {
           std::size_t used = 0;
           const std::uint64_t parsed = std::stoull(value, &used);
           if (used != value.size()) throw std::invalid_argument(value);
           return parsed;
         } catch (const std::exception&) {
-          std::cerr << "invalid number for " << arg << ": '" << value
-                    << "'\n";
-          std::exit(2);
+          bad_value(value);
         }
+        return 0;
+      };
+      const auto next_u64 = [&]() { return parse_u64(next()); };
+      // Range-checked before narrowing, so 4294967297 cannot wrap to 1.
+      const auto next_int = [&]() -> int {
+        const std::string value = next();
+        const std::uint64_t parsed = parse_u64(value);
+        if (parsed > static_cast<std::uint64_t>(
+                         std::numeric_limits<int>::max())) {
+          bad_value(value);
+        }
+        return static_cast<int>(parsed);
       };
       if (arg == "--samples") {
         a.samples = next_u64();
@@ -130,11 +144,11 @@ struct BenchArgs {
           std::exit(2);
         }
       } else if (arg == "--threads") {
-        a.threads = static_cast<int>(next_u64());
+        a.threads = next_int();
       } else if (arg == "--dense-threshold") {
         a.dense_threshold = static_cast<int>(next_u64());
       } else if (arg == "--tt-mb") {
-        a.tt_mb = static_cast<int>(next_u64());
+        a.tt_mb = next_int();
       } else if (arg == "--tt-policy") {
         const std::string value = next();
         if (value == "always") {

@@ -94,10 +94,12 @@ struct SynthesisOptions {
   /// drown the queue on 5-variable functions.
   bool use_transposition_table = true;
 
-  /// Memory budget of the bounded transposition table in megabytes
-  /// (core/transposition.hpp, CLI `--tt-mb`). The table is sized once and
-  /// never grows; a full bucket evicts by `tt_replacement` instead of
-  /// allocating, so long runs hold steady-state memory.
+  /// Memory cap of the bounded transposition table in megabytes
+  /// (core/transposition.hpp, CLI `--tt-mb`). The table grows in place up
+  /// to the cap, then a full bucket evicts by `tt_replacement` instead of
+  /// allocating, so long runs hold steady-state memory. The growth never
+  /// changes a result: circuits and counters match a table of the full
+  /// cap.
   int tt_mb = 64;
 
   /// Eviction policy of a full table bucket (ablated in bench/ablation):
@@ -106,13 +108,13 @@ struct SynthesisOptions {
   /// unconditionally replaces a fixed slot.
   TTReplacement tt_replacement = TTReplacement::kAging;
 
-  /// Externally owned transposition table shared across search passes
-  /// (non-owning, like trace_sink). synthesize() installs one per call so
-  /// the iterative-deepening ladder and the refinement reruns share it —
-  /// the driver bumps its generation between passes. The table is not
-  /// thread-safe: only the thread running the search may touch it. Null
-  /// (the default) makes each engine pass build its own from tt_mb /
-  /// tt_replacement.
+  /// Transposition table shared across search passes (non-owning, like
+  /// trace_sink). synthesize() installs one per call, built from tt_mb /
+  /// tt_replacement, so the iterative-deepening ladder and the refinement
+  /// reruns share it — the driver bumps its generation between passes. A
+  /// caller may install its own instead. The search engine probes exactly
+  /// this table and never builds one. The table is not thread-safe: only
+  /// the thread running the search may touch it.
   TranspositionTable* tt = nullptr;
 
   /// History-guided ordering (core/history.hpp): blend each candidate's
@@ -126,10 +128,10 @@ struct SynthesisOptions {
   /// eq.-4 preference.
   double history_weight = 0.10;
 
-  /// Externally owned history table (non-owning); installed by
-  /// synthesize() per call so passes share learned preferences. Like `tt`,
-  /// touched only by the thread running the search. Null with use_history
-  /// makes each pass learn only within itself.
+  /// History table shared across search passes (non-owning); synthesize()
+  /// installs one per call (or keeps the caller's) so passes share learned
+  /// preferences. Like `tt`, the engine uses exactly this table, never
+  /// builds one, and only the thread running the search touches it.
   HistoryTable* history = nullptr;
 
   /// Iterative deepening on the max-gates bound (`--no-id` disables):

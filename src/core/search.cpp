@@ -27,31 +27,9 @@ BasicSearch<Rep>::BasicSearch(Rep start, SynthesisOptions options)
       sink_(options.trace_sink),
       profile_(options.phase_profile) {
   best_terms_ = initial_terms_;
-  init_tt();
-  init_history();
+  if (options_.use_transposition_table) tt_ = options_.tt;
+  if (options_.use_history) history_ = options_.history;
   init_telemetry();
-}
-
-template <class Rep>
-void BasicSearch<Rep>::init_tt() {
-  if (!options_.use_transposition_table) return;
-  if (options_.tt != nullptr) {
-    tt_ = options_.tt;  // the driver's pass-spanning table
-    return;
-  }
-  owned_tt_ = std::make_unique<TranspositionTable>(options_.tt_mb,
-                                                   options_.tt_replacement);
-  tt_ = owned_tt_.get();
-}
-
-template <class Rep>
-void BasicSearch<Rep>::init_history() {
-  if (!options_.use_history) return;
-  history_ = options_.history;
-  if (history_ == nullptr) {
-    owned_history_ = std::make_unique<HistoryTable>();
-    history_ = owned_history_.get();
-  }
 }
 
 template <class Rep>

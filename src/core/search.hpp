@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/cancel.hpp"
@@ -157,23 +156,19 @@ class BasicSearch {
   int best_terms_ = 0;
 
   /// Transposition table (core/transposition.hpp): bounded bucketized
-  /// {hash, depth, generation} entries. The caller's pass-spanning table
-  /// (SynthesisOptions::tt) if installed, else a table this search owns.
-  /// Null when use_transposition_table is off.
+  /// {key, depth, generation} entries. The driver's pass-spanning table
+  /// (SynthesisOptions::tt, installed by synthesize()); the engine never
+  /// builds one. Null when use_transposition_table is off.
   TranspositionTable* tt_ = nullptr;
-  std::unique_ptr<TranspositionTable> owned_tt_;
   /// Cumulative table counters at run() start; the run reports the delta
   /// in stats_ (a pass-spanning table holds earlier passes' traffic).
   std::uint64_t tt_inserts_base_ = 0;
   std::uint64_t tt_evictions_base_ = 0;
 
-  /// History heuristic (core/history.hpp): shared across passes when the
-  /// driver installs SynthesisOptions::history, else owned (learning
-  /// within this run only). Null when use_history is off.
+  /// History heuristic (core/history.hpp): the driver's pass-spanning
+  /// SynthesisOptions::history, installed by synthesize(). Null when
+  /// use_history is off.
   HistoryTable* history_ = nullptr;
-  std::unique_ptr<HistoryTable> owned_history_;
-  void init_tt();
-  void init_history();
   /// Credits every gate on a newly recorded solution path (the history
   /// heuristic's learning signal).
   void reward_solution_path(std::int32_t parent, const Gate& gate,

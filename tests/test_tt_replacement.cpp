@@ -2,13 +2,18 @@
 // replacement-policy semantics on a single bucket, the depth rule the
 // table inherits from the seen-map it replaced (including the
 // shallower-revisit-overwrites regression), generation aging past the
-// old 8-bit wrap point, bounded memory under sustained insert pressure, and the
+// old 8-bit wrap point, bounded memory under sustained insert pressure,
+// in-place growth that no probe can observe, and the
 // determinism of the single-threaded iterative-deepening driver built on
 // top of it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "core/synthesizer.hpp"
 #include "core/transposition.hpp"
@@ -155,24 +160,182 @@ TEST(TranspositionTable, AgingComparesAgesBeyond256Generations) {
 }
 
 // The bound that motivates the whole design: ten million inserts into a
-// 1 MiB table stay inside the fixed footprint. The grow-only seen-map
-// this table replaced would hold all 10^7 entries (~hundreds of MB).
+// 1 MiB table grow it to exactly its cap and no further. The grow-only
+// seen-map this table replaced would hold all 10^7 entries (~hundreds of
+// MB).
 TEST(TranspositionTable, BoundedMemoryUnderSustainedInsertPressure) {
   TranspositionTable tt(1, TTReplacement::kAging);
-  const std::uint64_t capacity = tt.capacity();
-  ASSERT_GT(capacity, 0u);
+  ASSERT_GT(tt.capacity(), 0u);
   ASSERT_LE(tt.bytes(), std::size_t{1} << 20);
   constexpr std::uint64_t kInserts = 10'000'000;
   for (std::uint64_t i = 0; i < kInserts; ++i) {
     // splitmix64 over a counter: effectively unique hashes, all misses.
     tt.check_and_insert(splitmix64(i), 1 + static_cast<std::int32_t>(i % 7));
   }
-  EXPECT_LE(tt.entry_count(), capacity);
+  EXPECT_EQ(tt.bytes(), std::size_t{1} << 20);
+  EXPECT_LE(tt.entry_count(), tt.capacity());
   EXPECT_GT(tt.evictions(), 0u);
   EXPECT_LE(tt.evictions(), tt.inserts());
   EXPECT_LE(tt.inserts(), kInserts);
   // Occupancy accounting: entries that were inserted but never evicted.
   EXPECT_EQ(tt.entry_count(), tt.inserts() - tt.evictions());
+}
+
+// A small search must not pay for the budget: a thousand distinct states
+// in a table capped at the 64 MiB default grow it to a small power of two,
+// far below the cap.
+TEST(TranspositionTable, SmallRunStaysSmall) {
+  TranspositionTable tt(64, TTReplacement::kAging);
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    ASSERT_FALSE(tt.check_and_insert(splitmix64(i), 3));
+  }
+  EXPECT_EQ(tt.inserts(), 1000u);
+  EXPECT_EQ(tt.evictions(), 0u);
+  EXPECT_LE(tt.bytes(), std::size_t{1} << 20);
+}
+
+// Growth is invisible: a table that starts at one bucket and doubles up to
+// a cap of C buckets answers every probe exactly as a table created with
+// all C buckets, under every policy and across generations, and ends with
+// the same counters. This is what keeps circuits, tt_inserts, tt_evictions
+// and node counts independent of the growth.
+TEST(TranspositionTable, GrowingTableMatchesFixedTableOfItsCap) {
+  constexpr std::size_t kCap = 256;
+  for (const TTReplacement policy :
+       {TTReplacement::kAlways, TTReplacement::kDepthPreferred,
+        TTReplacement::kAging}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(to_string(policy)) + " seed " +
+                   std::to_string(seed));
+      TranspositionTable::Config grow_cfg;
+      grow_cfg.buckets = kCap;
+      grow_cfg.policy = policy;
+      grow_cfg.initial_buckets = 1;
+      TranspositionTable::Config fixed_cfg = grow_cfg;
+      fixed_cfg.initial_buckets = kCap;
+      TranspositionTable growing(grow_cfg);
+      TranspositionTable fixed(fixed_cfg);
+      ASSERT_EQ(growing.capacity(), 1u * TranspositionTable::kBucketEntries);
+      ASSERT_EQ(fixed.bytes(), kCap * 64);
+
+      std::mt19937_64 rng(seed);
+      bool grew_below_cap = false;
+      constexpr int kSteps = 20'000;
+      for (int step = 0; step < kSteps; ++step) {
+        if (rng() % 97 == 0) {
+          growing.new_generation();
+          fixed.new_generation();
+          continue;
+        }
+        // The pool of states widens as the run goes on: early steps
+        // revisit heavily, late ones overflow the cap and evict.
+        const std::uint64_t state = rng() % (16 + step / 4);
+        const auto depth = static_cast<std::int32_t>(1 + rng() % 12);
+        const bool want = fixed.check_and_insert(splitmix64(state), depth);
+        ASSERT_EQ(growing.check_and_insert(splitmix64(state), depth), want)
+            << "step " << step;
+        if (growing.capacity() < fixed.capacity() &&
+            growing.capacity() > TranspositionTable::kBucketEntries) {
+          grew_below_cap = true;
+        }
+      }
+      EXPECT_TRUE(grew_below_cap);
+      EXPECT_EQ(growing.bytes(), fixed.bytes());
+      EXPECT_GT(fixed.evictions(), 0u);
+      EXPECT_EQ(growing.inserts(), fixed.inserts());
+      EXPECT_EQ(growing.evictions(), fixed.evictions());
+      EXPECT_EQ(growing.total_hits(), fixed.total_hits());
+      EXPECT_EQ(growing.entry_count(), fixed.entry_count());
+    }
+  }
+}
+
+// The same identity where growth has the least room: states crowded into
+// one bucket of the cap-sized table and into one live bucket. The live
+// bucket spills into its overflow bucket and the stash, other states make
+// the table double while they are there, and the cap-sized bucket evicts
+// while the table is still far below its cap.
+TEST(TranspositionTable, CrowdedBucketsMatchFixedTableBelowTheCap) {
+  constexpr std::size_t kCap = 256;
+  // Six states in cap bucket 7, ten that share only its low four bits, and
+  // forty others. The table keys a state by splitmix64 of its hash.
+  std::vector<std::uint64_t> crowd;
+  std::vector<std::uint64_t> others;
+  int same_bucket = 0;
+  int same_low_bits = 0;
+  for (std::uint64_t h = 0;
+       same_bucket < 6 || same_low_bits < 10 || others.size() < 40; ++h) {
+    const std::uint64_t key = splitmix64(h);
+    if ((key & (kCap - 1)) == 7) {
+      if (same_bucket++ < 6) crowd.push_back(h);
+    } else if ((key & 15) == 7) {
+      if (same_low_bits++ < 10) crowd.push_back(h);
+    } else if (others.size() < 40) {
+      others.push_back(h);
+    }
+  }
+  for (const TTReplacement policy :
+       {TTReplacement::kAlways, TTReplacement::kDepthPreferred,
+        TTReplacement::kAging}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(to_string(policy)) + " seed " +
+                   std::to_string(seed));
+      TranspositionTable::Config grow_cfg;
+      grow_cfg.buckets = kCap;
+      grow_cfg.policy = policy;
+      grow_cfg.initial_buckets = 1;
+      TranspositionTable::Config fixed_cfg = grow_cfg;
+      fixed_cfg.initial_buckets = kCap;
+      TranspositionTable growing(grow_cfg);
+      TranspositionTable fixed(fixed_cfg);
+
+      std::mt19937_64 rng(seed);
+      for (int step = 0; step < 3000; ++step) {
+        if (rng() % 41 == 0) {
+          growing.new_generation();
+          fixed.new_generation();
+          continue;
+        }
+        // The crowd first; the others join gradually and drive the growth.
+        const std::vector<std::uint64_t>& pool =
+            rng() % 3 == 0 ? others : crowd;
+        const std::size_t reach =
+            &pool == &crowd ? crowd.size()
+                            : std::min<std::size_t>(others.size(),
+                                                    1 + step / 50);
+        const std::uint64_t hash = pool[rng() % reach];
+        const auto depth = static_cast<std::int32_t>(1 + rng() % 6);
+        const bool want = fixed.check_and_insert(hash, depth);
+        ASSERT_EQ(growing.check_and_insert(hash, depth), want)
+            << "step " << step;
+      }
+      EXPECT_LT(growing.bytes(), fixed.bytes());
+      EXPECT_GT(fixed.evictions(), 0u);
+      EXPECT_EQ(growing.inserts(), fixed.inserts());
+      EXPECT_EQ(growing.evictions(), fixed.evictions());
+      EXPECT_EQ(growing.total_hits(), fixed.total_hits());
+      EXPECT_EQ(growing.entry_count(), fixed.entry_count());
+    }
+  }
+}
+
+// The live size is a function of the number of tabled states: the
+// smallest power of two of at least 64 buckets that keeps them within
+// half the slots, plus a quarter as many overflow buckets. So a search's
+// footprint does not depend on how its hashes happen to cluster.
+TEST(TranspositionTable, LiveSizeFollowsTheEntryCount) {
+  TranspositionTable tt(64, TTReplacement::kAging);
+  for (std::uint64_t i = 1; i <= 40'000; ++i) {
+    ASSERT_FALSE(tt.check_and_insert(splitmix64(i), 2));
+    if (i % 997 == 0 || i == 40'000) {
+      std::size_t buckets = 64;
+      while (2 * buckets < i) buckets *= 2;
+      ASSERT_EQ(tt.capacity(), buckets * TranspositionTable::kBucketEntries)
+          << "after " << i << " states";
+      ASSERT_EQ(tt.bytes(), (buckets + buckets / 4) * 64);
+    }
+  }
+  EXPECT_EQ(tt.evictions(), 0u);
 }
 
 TEST(TranspositionTable, CountersAreMonotone) {
@@ -187,15 +350,26 @@ TEST(TranspositionTable, CountersAreMonotone) {
   EXPECT_GE(tt.inserts(), inserts_before);
 }
 
-// Budget sizing: the table must fit the requested megabytes and use a
-// power-of-two bucket count.
+// Budget sizing: the budget is a cap. The live table starts below it,
+// grows under insert pressure, and is always a power-of-two bucket count
+// whose bytes fit the requested megabytes.
 TEST(TranspositionTable, BudgetSizingFitsAndIsPowerOfTwo) {
   for (const int mb : {1, 2, 8}) {
     TranspositionTable tt(mb, TTReplacement::kAging);
-    EXPECT_LE(tt.bytes(), static_cast<std::size_t>(mb) << 20);
-    const std::uint64_t buckets =
-        tt.capacity() / TranspositionTable::kBucketEntries;
-    EXPECT_EQ(buckets & (buckets - 1), 0u) << "bucket count " << buckets;
+    const std::size_t budget = static_cast<std::size_t>(mb) << 20;
+    for (std::uint64_t i = 0; i < 200'000; ++i) {
+      if (i % 50'000 == 0) {
+        EXPECT_LE(tt.bytes(), budget);
+        const std::uint64_t buckets =
+            tt.capacity() / TranspositionTable::kBucketEntries;
+        EXPECT_EQ(buckets & (buckets - 1), 0u) << "bucket count " << buckets;
+        // Below the cap, a quarter as many overflow buckets.
+        const bool capped = buckets * 64 == budget;
+        EXPECT_EQ(tt.bytes(), (buckets + (capped ? 0 : buckets / 4)) * 64);
+      }
+      tt.check_and_insert(splitmix64(i), 2);
+    }
+    EXPECT_LE(tt.bytes(), budget);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -96,10 +97,10 @@ void help(const char* argv0, std::ostream& os) {
         "                     --tt-mb this bounds the search's resident\n"
         "                     memory on long runs (overflow counts\n"
         "                     dropped_queue_full)\n"
-        "  --tt-mb N          transposition-table memory budget in MiB\n"
-        "                     (default 64); the table is bounded and"
-        " evicts\n"
-        "                     by --tt-policy instead of growing\n"
+        "  --tt-mb N          transposition-table memory cap in MiB\n"
+        "                     (default 64); the table grows in place up"
+        " to\n"
+        "                     the cap, then evicts by --tt-policy\n"
         "  --tt-policy P      replacement policy: always | depth | aging\n"
         "                     (default aging); see docs/parallelism.md\n"
         "  --no-history       disable the history heuristic (learned\n"
@@ -217,6 +218,16 @@ long long num_ll(const std::string& arg, const std::string& v) {
   }
 }
 
+/// An int option at least `lo`. The range check runs on the parsed 64-bit
+/// value, before any narrowing, and a rejection quotes what the user typed
+/// (4294967297 must not wrap to 1, nor 2147483648 be reported as its
+/// wrapped negative).
+int num_int(const std::string& arg, const std::string& v, int lo) {
+  const long long n = num_ll(arg, v);
+  if (n < lo || n > std::numeric_limits<int>::max()) bad_number(arg, v);
+  return static_cast<int>(n);
+}
+
 unsigned long long num_ull(const std::string& arg, const std::string& v) {
   try {
     std::size_t used = 0;
@@ -292,8 +303,7 @@ int main(int argc, char** argv) {
       cache_mb = num_ll(arg, next());
       if (cache_mb < 0) bad_number(arg, std::to_string(cache_mb));
     } else if (arg == "--canonical-cap") {
-      canonical_cap = static_cast<int>(num_ll(arg, next()));
-      if (canonical_cap < 0) bad_number(arg, std::to_string(canonical_cap));
+      canonical_cap = num_int(arg, next(), 0);
     } else if (arg == "--shard") {
       const std::string v = next();
       const std::size_t slash = v.find('/');
@@ -349,16 +359,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--restart") {
       options.restart_interval = num_ull(arg, next());
     } else if (arg == "--threads") {
-      concurrent_jobs = static_cast<int>(num_ll(arg, next()));
-      if (concurrent_jobs < 0) bad_number(arg, std::to_string(concurrent_jobs));
+      concurrent_jobs = num_int(arg, next(), 0);
       threads_given = true;
     } else if (arg == "--queue") {
       const long long v = num_ll(arg, next());
       if (v < 1) bad_number(arg, std::to_string(v));
       options.max_queue = static_cast<std::size_t>(v);
     } else if (arg == "--tt-mb") {
-      options.tt_mb = static_cast<int>(num_ll(arg, next()));
-      if (options.tt_mb < 1) bad_number(arg, std::to_string(options.tt_mb));
+      options.tt_mb = num_int(arg, next(), 1);
     } else if (arg == "--tt-policy") {
       const std::string s = next();
       if (s == "always") {
@@ -377,10 +385,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-id") {
       options.iterative_deepening = false;
     } else if (arg == "--dense-threshold") {
-      options.dense_threshold = static_cast<int>(num_ll(arg, next()));
-      if (options.dense_threshold < 0) {
-        bad_number(arg, std::to_string(options.dense_threshold));
-      }
+      options.dense_threshold = num_int(arg, next(), 0);
     } else if (arg == "--first") {
       options.stop_at_first_solution = true;
     } else if (arg == "--no-extra") {
