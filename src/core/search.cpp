@@ -62,12 +62,23 @@ void BasicSearch<Rep>::sample_telemetry() {
 }
 
 template <class Rep>
-void BasicSearch<Rep>::push_entry(QueueEntry entry) {
-  if (push_uncounted(std::move(entry))) ++stats_.children_pushed;
+std::uint32_t BasicSearch<Rep>::acquire_slot() {
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
 }
 
 template <class Rep>
-bool BasicSearch<Rep>::push_uncounted(QueueEntry entry) {
+void BasicSearch<Rep>::push_entry(const QueueEntry& entry) {
+  if (push_uncounted(entry)) ++stats_.children_pushed;
+}
+
+template <class Rep>
+bool BasicSearch<Rep>::push_uncounted(const QueueEntry& entry) {
   if (heap_.size() >= options_.max_queue) {
     ++stats_.dropped_queue_full;
     if (sink_) {
@@ -77,11 +88,11 @@ bool BasicSearch<Rep>::push_uncounted(QueueEntry entry) {
       e.terms = entry.terms;
       emit(e);
     }
-    pool_.release(std::move(entry.state));
+    release_slot(entry.slot);
     return false;
   }
   const ScopedPhaseTimer timer(profile_, Phase::kHeapOps);
-  heap_.push_back(std::move(entry));
+  heap_.push_back(entry);
   std::push_heap(heap_.begin(), heap_.end(), EntryLess{});
   return true;
 }
@@ -90,7 +101,7 @@ template <class Rep>
 typename BasicSearch<Rep>::QueueEntry BasicSearch<Rep>::pop_entry() {
   const ScopedPhaseTimer timer(profile_, Phase::kHeapOps);
   std::pop_heap(heap_.begin(), heap_.end(), EntryLess{});
-  QueueEntry e = std::move(heap_.back());
+  const QueueEntry e = heap_.back();
   heap_.pop_back();
   return e;
 }
@@ -166,30 +177,25 @@ void BasicSearch<Rep>::reward_solution_path(std::int32_t parent,
 }
 
 template <class Rep>
-bool BasicSearch<Rep>::expand(QueueEntry entry) {
+bool BasicSearch<Rep>::expand(const QueueEntry& entry) {
   // Copy out of the arena: expand() appends to it, invalidating references.
   const NodeRecord node = arena_[entry.node];
   const Candidate skip{node.gate.target, node.gate.controls};
   const bool is_root = node.parent < 0;
+  // Stays valid while children take slots: deque appends move no element.
+  const Rep& state = slots_[entry.slot];
   {
     const ScopedPhaseTimer timer(profile_, Phase::kFactorEnum);
-    enumerate_candidates_into(entry.state, options_,
-                              is_root ? nullptr : &skip, candidates_buf_);
+    enumerate_candidates_into(state, options_, is_root ? nullptr : &skip,
+                              candidates_buf_);
   }
   const std::vector<Candidate>& candidates = candidates_buf_;
 
   // Children are priced read-only (substitute_delta); only the ones that
   // survive pruning are materialized, which is the search's hot path.
-  struct ChildEval {
-    Candidate cand;
-    int terms = 0;
-    int elim = 0;
-    double priority = 0.0;
-    bool solved = false;
-  };
   const int child_depth = node.depth + 1;
-  std::vector<ChildEval> children;
-  children.reserve(candidates.size());
+  std::vector<ChildEval>& children = children_buf_;
+  children.clear();
   {
     const ScopedPhaseTimer timer(profile_, Phase::kSubstitute);
     for (const Candidate& cand : candidates) {
@@ -198,12 +204,11 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
       // thousands of candidates at n >= 20; see should_stop().
       if (should_stop()) {
         termination_ = stop_reason_;
-        pool_.release(std::move(entry.state));
         return true;
       }
       ChildEval ce;
       ce.cand = cand;
-      const int delta = entry.state.substitute_delta(cand.target, cand.factor);
+      const int delta = state.substitute_delta(cand.target, cand.factor);
       ce.terms = entry.terms + delta;
       ce.elim = -delta;
       ce.priority = priority_of(child_depth, ce.elim,
@@ -217,11 +222,11 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
       }
       if (ce.terms == num_vars_) {
         // Only a system with exactly one term per output can be the
-        // identity; confirm by materializing (into a pooled system).
-        Rep materialized = pool_.acquire();
-        entry.state.substitute_into(cand.target, cand.factor, materialized);
-        ce.solved = materialized.is_identity();
-        pool_.release(std::move(materialized));
+        // identity; confirm by materializing (into a free slot).
+        const std::uint32_t probe = acquire_slot();
+        state.substitute_into(cand.target, cand.factor, slots_[probe]);
+        ce.solved = slots_[probe].is_identity();
+        release_slot(probe);
       }
       ++stats_.children_created;
       children.push_back(ce);
@@ -237,7 +242,6 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
                         child_depth, node.exempt_count)) {
       if (options_.stop_at_first_solution) {
         termination_ = TerminationReason::kSolved;
-        pool_.release(std::move(entry.state));
         return true;
       }
     } else {
@@ -256,24 +260,23 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
                        }
                        return a.priority > b.priority;
                      });
-    std::vector<ChildEval> kept;
-    kept.reserve(children.size());
+    std::size_t kept = 0;
     int current_target = -1;
     int taken = 0;
-    for (ChildEval& ce : children) {
+    for (const ChildEval& ce : children) {
       if (ce.cand.target != current_target) {
         current_target = ce.cand.target;
         taken = 0;
       }
       if (ce.solved) continue;  // already handled above
       if (taken < options_.greedy_k) {
-        kept.push_back(std::move(ce));
+        children[kept++] = ce;
         ++taken;
       } else {
         ++stats_.pruned_greedy;
       }
     }
-    children = std::move(kept);
+    children.resize(kept);
   }
 
   const bool narrow_scope =
@@ -282,11 +285,10 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
       options_.exempt_budget >= 0 ? options_.exempt_budget
       : narrow_scope              ? 1
                                   : 2 * num_vars_;
-  for (ChildEval& ce : children) {
+  for (const ChildEval& ce : children) {
     if (ce.solved) continue;
     if (should_stop()) {
       termination_ = stop_reason_;
-      pool_.release(std::move(entry.state));
       return true;
     }
     // Non-reducing substitutions are tolerated up to the per-path budget
@@ -322,21 +324,20 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
       emit_prune(PruneReason::kMaxGates, child_depth, ce.terms);
       continue;
     }
-    // Materialize only now, into a pooled system: everything pruned above
+    // Materialize only now, into a free slot: everything pruned above
     // never paid for a copy, and nothing here pays for an allocation.
-    Rep materialized = pool_.acquire();
+    const std::uint32_t slot = acquire_slot();
     {
       const ScopedPhaseTimer timer(profile_, Phase::kSubstitute);
-      entry.state.substitute_into(ce.cand.target, ce.cand.factor,
-                                  materialized);
+      state.substitute_into(ce.cand.target, ce.cand.factor, slots_[slot]);
     }
     if (tt_ != nullptr) {
       // Generation-aware depth rule (core/transposition.hpp): a shallower
       // rediscovery overwrites and re-expands, never prunes.
-      if (tt_->check_and_insert(materialized.hash(), child_depth)) {
+      if (tt_->check_and_insert(slots_[slot].hash(), child_depth)) {
         ++stats_.pruned_duplicate;
         emit_prune(PruneReason::kDuplicate, child_depth, ce.terms);
-        pool_.release(std::move(materialized));
+        release_slot(slot);
         continue;
       }
     }
@@ -349,11 +350,17 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
     child.seq = next_seq_++;
     child.node = static_cast<std::int32_t>(arena_.size()) - 1;
     child.terms = ce.terms;
-    child.state = std::move(materialized);
-    if (is_root) root_children_.push_back(child);  // copy kept for restarts
-    push_entry(std::move(child));
+    child.slot = slot;
+    if (is_root) {
+      // Kept for restarts with a copy of its own: the queued child's slot
+      // is freed once that child is expanded.
+      QueueEntry saved = child;
+      saved.slot = acquire_slot();
+      slots_[saved.slot] = slots_[slot];
+      root_children_.push_back(saved);
+    }
+    push_entry(child);
   }
-  pool_.release(std::move(entry.state));
   return false;
 }
 
@@ -361,7 +368,7 @@ template <class Rep>
 void BasicSearch<Rep>::restart() {
   ++stats_.restarts;
   pops_since_improvement_ = 0;
-  for (QueueEntry& e : heap_) pool_.release(std::move(e.state));
+  for (const QueueEntry& e : heap_) release_slot(e.slot);
   heap_.clear();
   ++restart_index_;
   {
@@ -383,13 +390,15 @@ void BasicSearch<Rep>::restart() {
   }
   // Re-seeds were already counted as children when first created.
   for (std::size_t i = restart_index_; i < root_children_.size(); ++i) {
-    if (i == restart_index_) {
-      // Future restarts re-seed from strictly later indices, so this
-      // alternative's system is moved into the heap, not copied.
-      push_uncounted(std::move(root_children_[i]));
-    } else {
-      push_uncounted(root_children_[i]);
+    QueueEntry seed = root_children_[i];
+    if (i != restart_index_) {
+      // Later restarts re-seed from index i again, so the queue gets a
+      // copy. Future restarts start at strictly later indices, so the
+      // first alternative hands its own slot to the queue instead.
+      seed.slot = acquire_slot();
+      slots_[seed.slot] = slots_[root_children_[i].slot];
     }
+    push_uncounted(seed);
   }
 }
 
@@ -436,8 +445,9 @@ SynthesisResult BasicSearch<Rep>::run() {
     root.seq = next_seq_++;
     root.node = 0;
     root.terms = initial_terms_;
-    root.state = start_;
-    push_uncounted(std::move(root));  // the root is not a child
+    root.slot = acquire_slot();
+    slots_[root.slot] = start_;
+    push_uncounted(root);  // the root is not a child
   }
 
   termination_ = TerminationReason::kQueueExhausted;
@@ -465,7 +475,7 @@ SynthesisResult BasicSearch<Rep>::run() {
       if (heap_.empty()) break;
     }
 
-    QueueEntry entry = pop_entry();
+    const QueueEntry entry = pop_entry();
     ++stats_.nodes_expanded;
     ++pops_since_improvement_;
     if (tele_nodes_ != nullptr) {
@@ -488,16 +498,18 @@ SynthesisResult BasicSearch<Rep>::run() {
     if (best_depth_ >= 0 && depth >= best_depth_ - 1) {
       ++stats_.pruned_stale;
       emit_prune(PruneReason::kStale, depth, entry.terms);
-      pool_.release(std::move(entry.state));
+      release_slot(entry.slot);
       continue;
     }
     if (options_.max_gates > 0 && depth >= options_.max_gates) {
       ++stats_.pruned_stale;
       emit_prune(PruneReason::kStale, depth, entry.terms);
-      pool_.release(std::move(entry.state));
+      release_slot(entry.slot);
       continue;
     }
-    if (expand(std::move(entry))) break;  // stop-at-first fired
+    const bool stop = expand(entry);
+    release_slot(entry.slot);
+    if (stop) break;  // stop-at-first or a stop request fired
   }
 
   stats_.elapsed = std::chrono::duration_cast<std::chrono::microseconds>(

@@ -6,6 +6,9 @@
 /// whose system is the identity. Per Section IV-C, expansions are stored
 /// only with frontier (queued) entries; the node arena keeps just
 /// {parent, gate, depth} so solution paths can be reconstructed cheaply.
+/// The heap orders 32-byte handles; each handle names the slot of a
+/// per-search state slab that holds its system, and a slot returns to the
+/// slab's free list as soon as its entry leaves the queue.
 ///
 /// The engine is templated over the state representation `Rep` — the
 /// sparse cube-vector Pprm or the dense bitset DensePprm
@@ -19,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "core/cancel.hpp"
@@ -64,6 +68,10 @@ class BasicSearch {
   /// in stop-at-first mode) and returns the best circuit found.
   [[nodiscard]] SynthesisResult run();
 
+  /// Slots the state slab has created: the run's peak of live states
+  /// (queued entries, saved root children and the expansion in progress).
+  [[nodiscard]] std::size_t slab_size() const { return slots_.size(); }
+
  private:
   struct NodeRecord {
     std::int32_t parent = -1;
@@ -79,13 +87,15 @@ class BasicSearch {
     bool exempt = false;
   };
 
+  /// A queued node: a POD handle whose system lives in slots_[slot].
   struct QueueEntry {
     double priority = 0.0;
     std::uint64_t seq = 0;  // insertion order; older wins priority ties
     std::int32_t node = -1;
     std::int32_t terms = 0;
-    Rep state;
+    std::uint32_t slot = 0;
   };
+  static_assert(sizeof(QueueEntry) == 32);
 
   struct EntryLess {
     bool operator()(const QueueEntry& a, const QueueEntry& b) const {
@@ -94,14 +104,28 @@ class BasicSearch {
     }
   };
 
+  /// One priced candidate of the expansion in progress.
+  struct ChildEval {
+    Candidate cand;
+    int terms = 0;
+    int elim = 0;
+    double priority = 0.0;
+    bool solved = false;
+  };
+
+  /// A free slot of the state slab (its buffers kept from the last use),
+  /// or a new one.
+  [[nodiscard]] std::uint32_t acquire_slot();
+  void release_slot(std::uint32_t slot) { free_slots_.push_back(slot); }
+
   /// Enqueues a new child, counting it (children_pushed / queue drops).
-  void push_entry(QueueEntry entry);
+  void push_entry(const QueueEntry& entry);
   /// Enqueues without counting children_pushed — root seeding and restart
   /// re-seeds re-push entries that were already counted at creation. A
   /// push into a full heap still counts dropped_queue_full and emits
-  /// kQueueDrop (a silently lost re-seed would undercount drops). Returns
-  /// whether the entry was actually enqueued.
-  bool push_uncounted(QueueEntry entry);
+  /// kQueueDrop (a silently lost re-seed would undercount drops), and
+  /// releases the entry's slot. Returns whether the entry was enqueued.
+  bool push_uncounted(const QueueEntry& entry);
   [[nodiscard]] QueueEntry pop_entry();
 
   /// Records a solution at `child_depth` if it improves on the best depth
@@ -111,8 +135,9 @@ class BasicSearch {
 
   /// Expands `entry`: evaluates every candidate substitution, records
   /// solutions, and enqueues surviving children. Returns true if the
-  /// stop-at-first-solution condition fired.
-  bool expand(QueueEntry entry);
+  /// stop-at-first-solution condition fired. Leaves entry's slot to the
+  /// caller.
+  bool expand(const QueueEntry& entry);
 
   void restart();
 
@@ -129,18 +154,26 @@ class BasicSearch {
   int num_vars_ = 0;
   int initial_terms_ = 0;
 
-  /// Recycles the state of every pruned child and expanded entry; the hot
-  /// path materializes via substitute_into into pooled systems and stops
+  /// The state slab: one system per queued entry and per saved root
+  /// child. std::deque keeps references stable while expand() appends
+  /// slots for children of the parent it reads. Freed slots keep their
+  /// buffers, so substitute_into reuses them and the hot path stops
   /// allocating after warmup.
-  StatePool<Rep> pool_;
+  std::deque<Rep> slots_;
+  std::vector<std::uint32_t> free_slots_;
   /// Reused across expansions by enumerate_candidates_into.
   std::vector<Candidate> candidates_buf_;
+  /// Reused across expansions: the priced children of one expansion.
+  std::vector<ChildEval> children_buf_;
 
   std::vector<NodeRecord> arena_;
   std::vector<QueueEntry> heap_;  // std::push_heap/pop_heap with EntryLess
   std::uint64_t next_seq_ = 0;
 
-  std::vector<QueueEntry> root_children_;  // saved for the restart heuristic
+  /// Saved for the restart heuristic, each with its own slot holding a
+  /// copy of its system: the queued child's slot is freed when that child
+  /// is expanded.
+  std::vector<QueueEntry> root_children_;
   bool root_sorted_ = false;  // sorted once, every restart indexes into it
   std::size_t restart_index_ = 0;
   std::uint64_t pops_since_improvement_ = 0;

@@ -88,7 +88,7 @@ class CubeList {
 
   /// Builds the result of `substitute(t, f)` applied to *this* directly
   /// into `dst` (whose buffers are reused — the search engine passes
-  /// pooled destinations so the hot path stops allocating). `*this` is
+  /// recycled destinations so the hot path stops allocating). `*this` is
   /// untouched. Returns the change in term count.
   int substitute_into(int t, Cube f, CubeList& dst) const;
 
@@ -151,8 +151,9 @@ class Pprm {
   int substitute(int t, Cube f);
 
   /// Builds the result of `substitute(t, f)` applied to *this* into `dst`,
-  /// reusing dst's per-output buffers (the search engine passes pooled
-  /// systems). `*this` is untouched. Returns the change in term count.
+  /// reusing dst's per-output buffers (the search engine passes freed
+  /// slots of its state slab). `*this` is untouched. Returns the change in
+  /// term count.
   int substitute_into(int t, Cube f, Pprm& dst) const;
 
   /// Total term-count change `substitute(t, f)` would cause, read-only.
@@ -177,36 +178,5 @@ class Pprm {
 };
 
 std::ostream& operator<<(std::ostream& os, const Pprm& p);
-
-/// Free list of search states for the hot path: every materialized child
-/// that gets pruned (and every expanded queue entry) returns here, and
-/// the next materialization reuses its buffers instead of reallocating.
-/// Works for any representation the engine is instantiated over (Pprm or
-/// DensePprm). Single-threaded; each search worker owns one.
-template <class State>
-class StatePool {
- public:
-  /// A recycled system (buffers intact) or a fresh empty one.
-  [[nodiscard]] State acquire() {
-    if (free_.empty()) return State();
-    State p = std::move(free_.back());
-    free_.pop_back();
-    return p;
-  }
-
-  void release(State&& p) {
-    if (free_.size() < kMaxRetained) free_.push_back(std::move(p));
-  }
-
-  [[nodiscard]] std::size_t size() const { return free_.size(); }
-
- private:
-  /// Enough to cover a full expansion's churn; beyond this the pool would
-  /// just hoard the peak queue's memory.
-  static constexpr std::size_t kMaxRetained = 1024;
-  std::vector<State> free_;
-};
-
-using PprmPool = StatePool<Pprm>;
 
 }  // namespace rmrls

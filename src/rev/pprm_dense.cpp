@@ -12,6 +12,19 @@ namespace {
   return num_vars > 6 ? std::size_t{1} << (num_vars - 6) : std::size_t{1};
 }
 
+/// The toggle image of one substitution on a one-word spectrum `s`
+/// (n <= 6): build_toggle_image's gather and fold, kept in a register.
+/// Zero when the output is untouched. For n <= 6 every variable index is
+/// below 6, so only the masked intra-word regime occurs.
+[[nodiscard]] std::uint64_t toggle_word(std::uint64_t s, int t, Cube f) {
+  std::uint64_t w = (s & kDenseVarMask[t]) >> (1 << t);
+  for (Cube rest = f; rest != 0 && w != 0; rest &= rest - 1) {
+    const int j = std::countr_zero(rest);
+    w = (w ^ (w << (1 << j))) & kDenseVarMask[j];
+  }
+  return w;
+}
+
 /// Thread-local toggle-image scratch: one spectrum's worth of words,
 /// reused across calls so the search hot path performs no allocation
 /// after warmup (same pattern as CubeList::substitute_into's buffer).
@@ -174,8 +187,15 @@ int DensePprm::substitute_into(int t, Cube f, DensePprm& dst) const {
   dst.bits_ = bits_;
   dst.out_hash_ = out_hash_;
   dst.out_count_ = out_count_;
-  std::uint64_t* image = scratch_words(words_);
   int delta = 0;
+  if (words_ == 1) {
+    for (int o = 0; o < num_vars_; ++o) {
+      const std::uint64_t w = toggle_word(bits_[o], t, f);
+      if (w != 0) delta += dst.apply_toggle_image(o, &w);
+    }
+    return delta;
+  }
+  std::uint64_t* image = scratch_words(words_);
   for (int o = 0; o < num_vars_; ++o) {
     if (!build_toggle_image(output_bits(o), t, f, image)) continue;
     delta += dst.apply_toggle_image(o, image);
@@ -190,8 +210,15 @@ int DensePprm::substitute_delta(int t, Cube f) const {
   // Same passes as substitute_into, reduced to popcounts: the candidate
   // pricing loop (the search's hottest call) never touches a hash or a
   // destination buffer.
-  std::uint64_t* image = scratch_words(words_);
   int delta = 0;
+  if (words_ == 1) {
+    for (int o = 0; o < num_vars_; ++o) {
+      const std::uint64_t s = bits_[o];
+      delta += std::popcount(s ^ toggle_word(s, t, f)) - std::popcount(s);
+    }
+    return delta;
+  }
+  std::uint64_t* image = scratch_words(words_);
   for (int o = 0; o < num_vars_; ++o) {
     const std::uint64_t* s = output_bits(o);
     if (!build_toggle_image(s, t, f, image)) continue;

@@ -101,8 +101,9 @@ class DensePprm {
   int substitute(int t, Cube f);
 
   /// Builds the result of `substitute(t, f)` into `dst`, reusing dst's
-  /// buffers (the search engine passes pooled systems). `*this` is
-  /// untouched; `dst` must not alias it. Returns the term-count change.
+  /// buffers (the search engine passes freed slots of its state slab).
+  /// `*this` is untouched; `dst` must not alias it. Returns the term-count
+  /// change.
   int substitute_into(int t, Cube f, DensePprm& dst) const;
 
   /// Term-count change `substitute(t, f)` would cause, without mutating:
@@ -150,8 +151,5 @@ class DensePprm {
 };
 
 std::ostream& operator<<(std::ostream& os, const DensePprm& p);
-
-/// Pool alias for the dense representation (see StatePool in pprm.hpp).
-using DensePprmPool = StatePool<DensePprm>;
 
 }  // namespace rmrls

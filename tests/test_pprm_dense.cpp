@@ -99,22 +99,62 @@ TEST(DensePprm, WordMoveRegimeMatchesSparse) {
   }
 }
 
-TEST(DensePprm, SubstituteIntoReusesPooledDestination) {
+TEST(DensePprm, SubstituteIntoReusesDestination) {
   std::mt19937_64 rng(13);
   const Pprm sparse =
       pprm_of_truth_table(random_reversible_function(7, rng));
   const DensePprm dense(sparse);
-  DensePprmPool pool;
-  // First use materializes into a default-constructed pooled system, the
-  // second reuses the released buffers; both must agree with sparse.
-  for (int round = 0; round < 2; ++round) {
-    DensePprm dst = pool.acquire();
-    const int dd = dense.substitute_into(0, b() | c(), dst);
+  // First use materializes into a default-constructed system, the second
+  // overwrites the first result in the same buffers, the third a narrower
+  // system's; all must agree with sparse.
+  DensePprm narrow = DensePprm::identity(3);
+  DensePprm dst;
+  for (DensePprm* target : {&dst, &dst, &narrow}) {
+    const int dd = dense.substitute_into(0, b() | c(), *target);
     Pprm expect = sparse;
     const int sd = expect.substitute(0, b() | c());
     EXPECT_EQ(dd, sd);
-    EXPECT_EQ(dst.to_pprm(), expect);
-    pool.release(std::move(dst));
+    EXPECT_EQ(target->to_pprm(), expect);
+  }
+}
+
+// The kernel equivalence sweep: both kernel paths (one word per output for
+// n <= 6, the general word loop for n = 7) against the sparse reference,
+// on every enumerated candidate and on random factors outside the
+// candidate rules.
+TEST(DensePprm, KernelMatchesSparseOnEveryCandidate) {
+  std::mt19937_64 rng(16);
+  SynthesisOptions options;
+  options.allow_relaxed_targets = true;
+  for (int n = 1; n <= 7; ++n) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const Pprm sparse =
+          pprm_of_truth_table(random_reversible_function(n, rng));
+      const DensePprm dense(sparse);
+      std::vector<Candidate> cands =
+          enumerate_candidates(sparse, options, nullptr);
+      const Cube all = (Cube{1} << n) - 1;
+      for (int i = 0; i < 32; ++i) {
+        const int t = static_cast<int>(rng() % static_cast<unsigned>(n));
+        cands.push_back({t, (rng() & all) & ~cube_of_var(t)});
+      }
+      DensePprm dst;  // reused across candidates, as the engine does
+      for (const Candidate& cand : cands) {
+        const int t = cand.target;
+        const Cube f = cand.factor;
+        Pprm expect = sparse;
+        const int sd = expect.substitute(t, f);
+        EXPECT_EQ(dense.substitute_delta(t, f), sd)
+            << "n=" << n << " t=" << t << " f=" << f;
+        EXPECT_EQ(dense.substitute_into(t, f, dst), sd);
+        ASSERT_EQ(dst.to_pprm(), expect)
+            << "n=" << n << " t=" << t << " f=" << f;
+        for (int o = 0; o < n; ++o) {
+          EXPECT_EQ(dst.output_term_count(o), expect.output(o).size());
+        }
+        EXPECT_EQ(dst.hash(), expect.hash());
+      }
+    }
   }
 }
 

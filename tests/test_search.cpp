@@ -5,8 +5,10 @@
 #include <chrono>
 #include <random>
 
+#include "core/factor_enum.hpp"
 #include "core/synthesizer.hpp"
 #include "rev/pprm_transform.hpp"
+#include "rev/random.hpp"
 
 namespace rmrls {
 namespace {
@@ -128,6 +130,34 @@ TEST(Search, RepeatRunsAreDeterministicOnFourVariables) {
   EXPECT_EQ(a.stats.children_created, b.stats.children_created);
   EXPECT_EQ(a.stats.pruned_duplicate, b.stats.pruned_duplicate);
   EXPECT_EQ(a.stats.nodes_at_best, b.stats.nodes_at_best);
+}
+
+// The state slab holds only live states: a slot is live while its entry
+// is queued, saved as a root child or being expanded. A full queue drops
+// children, stale pops and restarts discard entries; each must return its
+// slot, or the slab would grow with every expansion instead of staying
+// within the queue cap plus the saved root children.
+template <class Engine, class Rep>
+void expect_slab_bounded(const Rep& start) {
+  SynthesisOptions o;
+  o.max_queue = 16;
+  o.max_nodes = 4000;
+  o.restart_interval = 50;
+  std::vector<Candidate> root_children;
+  enumerate_candidates_into(start, o, nullptr, root_children);
+  Engine search(start, o);
+  const SynthesisResult r = search.run();
+  EXPECT_GT(r.stats.dropped_queue_full, 0u);
+  EXPECT_GT(r.stats.restarts, 0u);
+  // + 2: the entry being expanded and the child being materialized.
+  EXPECT_LE(search.slab_size(), o.max_queue + root_children.size() + 2);
+}
+
+TEST(Search, StateSlabHoldsOnlyLiveStates) {
+  std::mt19937_64 rng(7);  // needs restarts before its first solution
+  const Pprm spec = pprm_of_truth_table(random_reversible_function(4, rng));
+  expect_slab_bounded<Search>(spec);
+  expect_slab_bounded<DenseSearch>(DensePprm(spec));
 }
 
 // The early outs: an identity spec is solved before any expansion, and a

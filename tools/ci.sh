@@ -4,7 +4,10 @@
 #   1. tier-1: the Release build and the full CTest suite,
 #   2. the tsan preset on the `concurrency` suites,
 #   3. the asan preset on the `sanitize` suites,
-#   4. the fuzz preset's parser smoke tests.
+#   4. the fuzz preset's parser smoke tests,
+#   5. a one-second paper-cold run of the end-to-end benchmark
+#      (perfbench/), which builds its own copy of src/: it passes only when
+#      the run's JSON result (its last line) says "correct": true.
 #
 # Usage (from anywhere inside the repository):
 #   tools/ci.sh
@@ -35,5 +38,13 @@ for preset in tsan asan fuzz; do
   ctest --test-dir "build-$preset" -L "$label" --output-on-failure \
     -j "$JOBS"
 done
+
+step "perfbench: paper-cold smoke run"
+result="$(python3 perfbench/run.py --workload paper-cold --seed 1 \
+  --seconds 1 --trace 0 | tail -n 1)"
+echo "$result"
+printf '%s\n' "$result" | python3 -c '
+import json, sys
+sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else 1)'
 
 step "all CI steps passed"
